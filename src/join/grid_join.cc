@@ -16,11 +16,48 @@
 // because then two matching boxes have centres within one cell in every
 // axis. The small-cell shortcut emits same-cell pairs without a test when
 // the geometry already guarantees intersection.
+//
+// The grid is a sorted cell CSR, built per call in chunked passes on the
+// par pool:
+//   1. Bounds: one pass reduces the max/min element extent and the per-axis
+//      centre range. Cell coordinates are floor(centre / cell), which is
+//      monotone in the centre, so the centre range gives the occupied cell
+//      range without a second pass.
+//   2. Keys: each element's cell coordinates are packed x-major into one
+//      integer key. Every axis field stores (coordinate - first occupied
+//      cell + 1) in just enough bits for the occupied range plus one cell of
+//      margin on each side. Adding a neighbour offset to a key is then
+//      exact (no carry crosses a field) and keeps key order, and numeric
+//      key order is lexicographic (x, y, z) cell order.
+//   3. Sort: a stable LSD radix sort of uint64 words (key << index bits |
+//      element index) on their key bits, each digit a chunked histogram
+//      plus a chunked scatter in chunk order.
+//   4. Layout: one contiguous copy of the elements in cell order (input
+//      order within a cell), the occupied keys and their start offsets.
+// The join walks the occupied cells in key order in contiguous chunks
+// (join_parallel.h). Per neighbour offset a chunk keeps one cursor into the
+// key array, set by lower_bound at its first cell; key + offset grows with
+// the key, so the cursor only moves forward and no lookup hashes.
+//
+// The sort words and the CSR (~50 bytes per element) belong to the calling
+// thread and are reused by its next join. A simulation joins every step;
+// when each join allocated and freed them afresh, the allocator handed the
+// memory back to the OS and the next index build page-faulted it in again
+// (perfbench sim-synapse setup_s rose ~20%).
+//
+// Extreme input: when the occupied range needs more key bits than the sort
+// word leaves (huge or infinite coordinates, tiny cells), the bits are
+// shared out between the axes and each axis clamps into the span its bits
+// cover; NaN goes to the low border. Clamping moves cells closer together,
+// never farther apart, so matching pairs still share or neighbour a cell
+// and the join stays complete. Clamped cells may hold distant elements, so
+// a clamp switches the small-cell shortcut off.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <tuple>
-#include <unordered_map>
+#include <limits>
 
 #include "join/join_parallel.h"
 #include "join/spatial_join.h"
@@ -29,77 +66,305 @@ namespace simspatial::join {
 
 namespace {
 
-struct CellKey {
-  std::int32_t x;
-  std::int32_t y;
-  std::int32_t z;
-  bool operator==(const CellKey&) const = default;
-};
-
-struct CellKeyHash {
-  std::size_t operator()(const CellKey& k) const {
-    std::uint64_t h = static_cast<std::uint32_t>(k.x);
-    h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint32_t>(k.y);
-    h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint32_t>(k.z);
-    return static_cast<std::size_t>(h ^ (h >> 29));
-  }
-};
-
 // The 13 forward neighbours: lexicographically positive offsets.
 constexpr int kForward[13][3] = {
     {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},   {1, -1, 0},
     {1, 0, 1},  {1, 0, -1}, {0, 1, 1},  {0, 1, -1},  {1, 1, 1},
     {1, 1, -1}, {1, -1, 1}, {1, -1, -1}};
 
-float MaxExtent(const std::vector<Element>& elems) {
-  float m = 0.0f;
-  for (const Element& e : elems) {
+/// Elements per chunk below which the build passes stay on one thread.
+constexpr std::size_t kElementGrain = 4096;
+constexpr int kRadixBits = 11;
+constexpr std::size_t kRadixBuckets = std::size_t{1} << kRadixBits;
+
+/// Cell coordinates are kept within +-2^62, so int64 differences of two of
+/// them cannot overflow.
+constexpr float kCoordLimit = 0x1p62f;
+constexpr std::int64_t kMaxCoord = std::int64_t{1} << 62;
+
+/// Pass 1's reduction over one element set.
+struct Bounds {
+  float max_extent = 0.0f;
+  float min_extent = std::numeric_limits<float>::max();
+  /// Centre range per axis; NaN centres are skipped.
+  std::array<float, 3> lo{std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::infinity()};
+  std::array<float, 3> hi{-std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()};
+
+  // `a < b` comparisons skip NaN, like std::max/std::min over a list.
+  void Add(const Element& e) {
     const Vec3 ext = e.box.Extent();
-    m = std::max({m, ext.x, ext.y, ext.z});
+    const Vec3 c = e.Center();
+    for (int a = 0; a < 3; ++a) {
+      if (max_extent < ext[a]) max_extent = ext[a];
+      if (ext[a] < min_extent) min_extent = ext[a];
+      if (c[a] < lo[a]) lo[a] = c[a];
+      if (hi[a] < c[a]) hi[a] = c[a];
+    }
   }
-  return m;
-}
-
-float MinExtent(const std::vector<Element>& elems) {
-  float m = std::numeric_limits<float>::max();
-  for (const Element& e : elems) {
-    const Vec3 ext = e.box.Extent();
-    m = std::min({m, ext.x, ext.y, ext.z});
-  }
-  return elems.empty() ? 0.0f : m;
-}
-
-struct CentreGrid {
-  float cell = 1.0f;
-  float inv = 1.0f;
-  std::unordered_map<CellKey, std::vector<const Element*>, CellKeyHash> cells;
-
-  CellKey KeyOf(const Vec3& p) const {
-    return CellKey{static_cast<std::int32_t>(std::floor(p.x * inv)),
-                   static_cast<std::int32_t>(std::floor(p.y * inv)),
-                   static_cast<std::int32_t>(std::floor(p.z * inv))};
-  }
-  void Fill(const std::vector<Element>& elems) {
-    cells.reserve(elems.size());
-    for (const Element& e : elems) cells[KeyOf(e.Center())].push_back(&e);
+  void Merge(const Bounds& o) {
+    if (max_extent < o.max_extent) max_extent = o.max_extent;
+    if (o.min_extent < min_extent) min_extent = o.min_extent;
+    for (int a = 0; a < 3; ++a) {
+      if (o.lo[a] < lo[a]) lo[a] = o.lo[a];
+      if (hi[a] < o.hi[a]) hi[a] = o.hi[a];
+    }
   }
 };
 
-// The hash map's iteration order depends on the table layout, so both the
-// serial and the parallel paths walk the occupied cells in sorted key
-// order — that order is the determinism anchor the chunked fan-out
-// partitions.
-using CellRef = std::pair<CellKey, const std::vector<const Element*>*>;
+std::size_t ElementChunks(std::uint32_t threads, std::size_t n) {
+  return par::ChunkCount(par::ResolveThreads(threads), n, kElementGrain);
+}
 
-std::vector<CellRef> SortedCells(const CentreGrid& g) {
-  std::vector<CellRef> order;
-  order.reserve(g.cells.size());
-  for (const auto& [key, bucket] : g.cells) order.emplace_back(key, &bucket);
-  std::sort(order.begin(), order.end(), [](const CellRef& a, const CellRef& b) {
-    return std::tie(a.first.x, a.first.y, a.first.z) <
-           std::tie(b.first.x, b.first.y, b.first.z);
+Bounds ReduceBounds(const std::vector<Element>& elems, std::uint32_t threads) {
+  std::vector<Bounds> part(ElementChunks(threads, elems.size()));
+  par::ParallelChunks(part.size(), elems.size(),
+                      [&](std::size_t w, std::size_t begin, std::size_t end) {
+                        Bounds b;
+                        for (std::size_t i = begin; i < end; ++i) {
+                          b.Add(elems[i]);
+                        }
+                        part[w] = b;
+                      });
+  Bounds b;
+  for (const Bounds& p : part) b.Merge(p);
+  return b;
+}
+
+/// floor(v * inv) as an integer cell coordinate. NaN and values beyond
+/// +-2^62 come back clamped and set `*clamped`; NaN goes low.
+std::int64_t CellCoord(float v, float inv, bool* clamped) {
+  const float f = std::floor(v * inv);
+  if (f >= -kCoordLimit && f <= kCoordLimit) {
+    return static_cast<std::int64_t>(f);
+  }
+  *clamped = true;
+  return f > 0.0f ? kMaxCoord : -kMaxCoord;
+}
+
+/// Packs cell coordinates into order-preserving keys (see the file
+/// comment). The radix sort stores a key above an element index in one
+/// uint64, so keys get the bits that indices of `max_elements` leave.
+class KeyLayout {
+ public:
+  KeyLayout(float cell, const Bounds& b, std::size_t max_elements)
+      : inv_(1.0f / cell),
+        index_bits_(std::bit_width(std::max<std::size_t>(max_elements, 1) -
+                                   1)) {
+    std::array<int, 3> need{};
+    for (int a = 0; a < 3; ++a) {
+      bool ignored = false;
+      lo_[a] = CellCoord(b.lo[a], inv_, &ignored);
+      hi_[a] = std::max(lo_[a], CellCoord(b.hi[a], inv_, &ignored));
+      // Field values run 1..cells, plus the margin cells 0 and cells + 1.
+      need[a] = std::bit_width(static_cast<std::uint64_t>(hi_[a]) -
+                               static_cast<std::uint64_t>(lo_[a]) + 2);
+    }
+    // Share the key bits out, smallest need first: an axis whose range
+    // does not fit its share clamps to the span its bits cover.
+    std::array<int, 3> order{0, 1, 2};
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int p, int q) { return need[p] < need[q]; });
+    std::array<int, 3> bits{};
+    int left = 64 - index_bits_;
+    for (int k = 0; k < 3; ++k) {
+      const int a = order[k];
+      bits[a] = std::min(need[a], left / (3 - k));
+      left -= bits[a];
+      if (bits[a] < need[a]) {
+        hi_[a] = lo_[a] + static_cast<std::int64_t>(
+                              (std::uint64_t{1} << bits[a]) - 3);
+      }
+    }
+    shift_ = {bits[1] + bits[2], bits[2], 0};
+    key_bits_ = bits[0] + bits[1] + bits[2];
+  }
+
+  /// Key of the cell holding `p`; sets `*clamped` when a coordinate had to
+  /// move into its axis' span.
+  std::uint64_t KeyOf(const Vec3& p, bool* clamped) const {
+    std::uint64_t key = 0;
+    for (int a = 0; a < 3; ++a) {
+      std::int64_t c = CellCoord(p[a], inv_, clamped);
+      if (c < lo_[a]) {
+        c = lo_[a];
+        *clamped = true;
+      } else if (c > hi_[a]) {
+        c = hi_[a];
+        *clamped = true;
+      }
+      key |= (static_cast<std::uint64_t>(c) -
+              static_cast<std::uint64_t>(lo_[a]) + 1)
+             << shift_[a];
+    }
+    return key;
+  }
+
+  /// Added (mod 2^64) to a key, gives the key of the cell at this offset.
+  std::uint64_t Offset(int dx, int dy, int dz) const {
+    return (static_cast<std::uint64_t>(dx) << shift_[0]) +
+           (static_cast<std::uint64_t>(dy) << shift_[1]) +
+           static_cast<std::uint64_t>(dz);
+  }
+
+  /// Key bits in use; every key is below 2^key_bits().
+  int key_bits() const { return key_bits_; }
+  /// Bits below the key in a sort word; index_bits() + key_bits() <= 64.
+  int index_bits() const { return index_bits_; }
+
+ private:
+  float inv_;
+  int index_bits_;
+  std::array<std::int64_t, 3> lo_{};
+  std::array<std::int64_t, 3> hi_{};  ///< Last cell of each axis' span.
+  std::array<int, 3> shift_{};
+  int key_bits_ = 0;
+};
+
+/// The sorted cell CSR of one element set.
+struct CellCsr {
+  std::vector<Element> elems;        ///< Cell order; input order in a cell.
+  std::vector<std::uint64_t> keys;   ///< Occupied cells, ascending.
+  std::vector<std::uint32_t> start;  ///< keys.size() + 1 offsets into elems.
+  bool clamped = false;              ///< Some element's cell was clamped.
+
+  std::size_t cells() const { return keys.size(); }
+};
+
+/// Buffers reused by every join on one thread (see the file comment).
+struct Scratch {
+  std::vector<std::uint64_t> cur;   ///< Radix sort words.
+  std::vector<std::uint64_t> next;  ///< Radix sort words.
+  std::array<CellCsr, 2> csr;       ///< Self-join: [0]; binary join: a, b.
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
+
+/// Builds the CSR of `src` into `s->csr[side]`, reusing the capacity of
+/// `s`'s vectors.
+const CellCsr& BuildCsr(const std::vector<Element>& src,
+                        const KeyLayout& layout, std::uint32_t threads,
+                        Scratch* s, std::size_t side) {
+  CellCsr& g = s->csr[side];
+  const std::size_t n = src.size();
+  const std::size_t chunks = ElementChunks(threads, n);
+  const int passes = (layout.key_bits() + kRadixBits - 1) / kRadixBits;
+  // Sort words: key << index_bits | element index. Sorting on the key bits
+  // alone, stably, keeps input order within a cell.
+  const int ib = layout.index_bits();
+  const std::uint64_t index_mask = (std::uint64_t{1} << ib) - 1;
+  std::vector<std::uint64_t>& cur = s->cur;
+  std::vector<std::uint64_t>& next = s->next;
+  cur.resize(n);
+  next.resize(n);
+  std::vector<std::array<std::uint32_t, kRadixBuckets>> hist(chunks);
+  std::vector<char> chunk_clamped(chunks, 0);
+
+  // Keys, fused with the first digit's histogram.
+  par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
+                                     std::size_t end) {
+    hist[w].fill(0);
+    bool clamped = false;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint64_t key = layout.KeyOf(src[i].Center(), &clamped);
+      cur[i] = key << ib | i;
+      ++hist[w][key & (kRadixBuckets - 1)];
+    }
+    chunk_clamped[w] = clamped;
   });
-  return order;
+
+  // Stable LSD passes: chunk w's items of a bucket land after chunk w-1's.
+  for (int p = 0; p < passes; ++p) {
+    const int shift = ib + p * kRadixBits;
+    if (p > 0) {
+      par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
+                                         std::size_t end) {
+        hist[w].fill(0);
+        for (std::size_t i = begin; i < end; ++i) {
+          ++hist[w][(cur[i] >> shift) & (kRadixBuckets - 1)];
+        }
+      });
+    }
+    std::uint32_t total = 0;
+    for (std::size_t d = 0; d < kRadixBuckets; ++d) {
+      for (std::size_t w = 0; w < chunks; ++w) {
+        const std::uint32_t k = hist[w][d];
+        hist[w][d] = total;
+        total += k;
+      }
+    }
+    par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
+                                       std::size_t end) {
+      auto& cursor = hist[w];
+      for (std::size_t i = begin; i < end; ++i) {
+        next[cursor[(cur[i] >> shift) & (kRadixBuckets - 1)]++] = cur[i];
+      }
+    });
+    cur.swap(next);
+  }
+
+  // Layout: gather the elements and count cell heads per chunk, then write
+  // each chunk's cells at its prefix offset.
+  const auto is_head = [&](std::size_t i) {
+    return i == 0 || (cur[i] >> ib) != (cur[i - 1] >> ib);
+  };
+  g.elems.resize(n);
+  std::vector<std::size_t> heads(chunks + 1, 0);
+  par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
+                                     std::size_t end) {
+    std::size_t h = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      g.elems[i] = src[cur[i] & index_mask];
+      h += is_head(i);
+    }
+    heads[w + 1] = h;
+  });
+  for (std::size_t w = 0; w < chunks; ++w) heads[w + 1] += heads[w];
+  g.keys.resize(heads[chunks]);
+  g.start.resize(heads[chunks] + 1);
+  g.start.back() = static_cast<std::uint32_t>(n);
+  par::ParallelChunks(chunks, n, [&](std::size_t w, std::size_t begin,
+                                     std::size_t end) {
+    std::size_t c = heads[w];
+    for (std::size_t i = begin; i < end; ++i) {
+      if (is_head(i)) {
+        g.keys[c] = cur[i] >> ib;
+        g.start[c] = static_cast<std::uint32_t>(i);
+        ++c;
+      }
+    }
+  });
+  g.clamped = std::find(chunk_clamped.begin(), chunk_clamped.end(), 1) !=
+              chunk_clamped.end();
+  return g;
+}
+
+/// Advances `cursor` to the first cell of `keys` at or after `want`; true
+/// iff that cell is `want`.
+bool SeekCell(const std::vector<std::uint64_t>& keys, std::uint64_t want,
+              std::size_t* cursor) {
+  std::size_t c = *cursor;
+  while (c < keys.size() && keys[c] < want) ++c;
+  *cursor = c;
+  return c < keys.size() && keys[c] == want;
+}
+
+std::size_t LowerBound(const std::vector<std::uint64_t>& keys,
+                       std::uint64_t want) {
+  return static_cast<std::size_t>(
+      std::lower_bound(keys.begin(), keys.end(), want) - keys.begin());
+}
+
+float CellSize(const GridJoinOptions& options, float max_extent, float eps) {
+  const float cell =
+      options.cell_size > 0.0f ? options.cell_size : max_extent + eps + 1e-5f;
+  return std::max(cell, 1e-5f);
 }
 
 }  // namespace
@@ -113,62 +378,68 @@ std::vector<JoinPair> GridSelfJoin(const std::vector<Element>& elems,
   QueryCounters local;
   QueryCounters& c = counters != nullptr ? *counters : local;
 
-  CentreGrid g;
-  g.cell = options.cell_size > 0.0f ? options.cell_size
-                                    : MaxExtent(elems) + eps + 1e-5f;
-  g.cell = std::max(g.cell, 1e-5f);
-  g.inv = 1.0f / g.cell;
-  g.Fill(elems);
-  if (stats != nullptr) stats->cell_size = g.cell;
+  const Bounds bounds = ReduceBounds(elems, options.threads);
+  const float cell = CellSize(options, bounds.max_extent, eps);
+  if (stats != nullptr) stats->cell_size = cell;
+  const KeyLayout layout(cell, bounds, elems.size());
+  const CellCsr& g =
+      BuildCsr(elems, layout, options.threads, &ThreadScratch(), 0);
 
   // Small-cell shortcut precondition (§4.3): if every element extends at
   // least a full cell diagonal from its centre in every direction, two
   // same-cell centres always intersect. Conservative sufficient condition:
   // min extent >= 2 * cell diagonal.
-  const bool shortcut =
-      options.small_cell_shortcut && eps == 0.0f &&
-      MinExtent(elems) >= 2.0f * g.cell * std::sqrt(3.0f);
+  const bool shortcut = options.small_cell_shortcut && eps == 0.0f &&
+                        !g.clamped &&
+                        bounds.min_extent >= 2.0f * cell * std::sqrt(3.0f);
 
-  const std::vector<CellRef> order = SortedCells(g);
+  std::array<std::uint64_t, 13> offset{};
+  for (std::size_t d = 0; d < offset.size(); ++d) {
+    offset[d] = layout.Offset(kForward[d][0], kForward[d][1], kForward[d][2]);
+  }
   detail::RunDeterministicChunks(
-      order.size(), options.threads, &out, &c,
+      g.cells(), options.threads, &out, &c,
       stats != nullptr ? &stats->skipped_tests : nullptr,
       [&](detail::JoinShard* shard, std::size_t begin, std::size_t end) {
-        const auto test_pair = [&](const Element* a, const Element* b,
-                                   bool same_cell) {
-          if (same_cell && shortcut) {
-            shard->skipped_tests += 1;
-            shard->pairs.emplace_back(std::min(a->id, b->id),
-                                      std::max(a->id, b->id));
-            return;
-          }
-          shard->counters.element_tests += 1;
-          if (PairMatches(a->box, b->box, eps)) {
-            shard->pairs.emplace_back(std::min(a->id, b->id),
-                                      std::max(a->id, b->id));
-          }
+        if (begin == end) return;
+        const auto emit = [&](const Element& a, const Element& b) {
+          shard->pairs.emplace_back(std::min(a.id, b.id),
+                                    std::max(a.id, b.id));
         };
+        const auto test = [&](const Element& a, const Element& b) {
+          shard->counters.element_tests += 1;
+          if (PairMatches(a.box, b.box, eps)) emit(a, b);
+        };
+        std::array<std::size_t, 13> cursor{};
+        for (std::size_t d = 0; d < offset.size(); ++d) {
+          cursor[d] = LowerBound(g.keys, g.keys[begin] + offset[d]);
+        }
         for (std::size_t ci = begin; ci < end; ++ci) {
-          const CellKey& key = order[ci].first;
-          const auto& bucket = *order[ci].second;
+          const std::uint32_t lo = g.start[ci];
+          const std::uint32_t hi = g.start[ci + 1];
           shard->counters.nodes_visited += 1;
           // Within-cell pairs.
-          for (std::size_t i = 0; i < bucket.size(); ++i) {
-            for (std::size_t j = i + 1; j < bucket.size(); ++j) {
-              test_pair(bucket[i], bucket[j], /*same_cell=*/true);
+          for (std::uint32_t i = lo; i < hi; ++i) {
+            for (std::uint32_t j = i + 1; j < hi; ++j) {
+              if (shortcut) {
+                shard->skipped_tests += 1;
+                emit(g.elems[i], g.elems[j]);
+              } else {
+                test(g.elems[i], g.elems[j]);
+              }
             }
           }
-          // Forward neighbours (each unordered cell pair visited exactly
-          // once; the grid is read-only here, so concurrent lookups are
-          // safe).
-          for (const auto& d : kForward) {
-            const auto it = g.cells.find(
-                CellKey{key.x + d[0], key.y + d[1], key.z + d[2]});
-            if (it == g.cells.end()) continue;
+          // Forward neighbours (each unordered cell pair visited once).
+          for (std::size_t d = 0; d < offset.size(); ++d) {
+            if (!SeekCell(g.keys, g.keys[ci] + offset[d], &cursor[d])) {
+              continue;
+            }
             shard->counters.structure_tests += 1;
-            for (const Element* a : bucket) {
-              for (const Element* b : it->second) {
-                test_pair(a, b, /*same_cell=*/false);
+            const std::uint32_t nlo = g.start[cursor[d]];
+            const std::uint32_t nhi = g.start[cursor[d] + 1];
+            for (std::uint32_t i = lo; i < hi; ++i) {
+              for (std::uint32_t j = nlo; j < nhi; ++j) {
+                test(g.elems[i], g.elems[j]);
               }
             }
           }
@@ -188,43 +459,50 @@ std::vector<JoinPair> GridJoin(const std::vector<Element>& a,
   QueryCounters local;
   QueryCounters& c = counters != nullptr ? *counters : local;
 
-  CentreGrid ga;
-  ga.cell = options.cell_size > 0.0f
-                ? options.cell_size
-                : std::max(MaxExtent(a), MaxExtent(b)) + eps + 1e-5f;
-  ga.cell = std::max(ga.cell, 1e-5f);
-  ga.inv = 1.0f / ga.cell;
-  ga.Fill(a);
-  CentreGrid gb;
-  gb.cell = ga.cell;
-  gb.inv = ga.inv;
-  gb.Fill(b);
-  if (stats != nullptr) stats->cell_size = ga.cell;
+  // One key layout for both sides, so a b-cell key plus an offset is the
+  // key of the a-cell there.
+  Bounds bounds = ReduceBounds(a, options.threads);
+  bounds.Merge(ReduceBounds(b, options.threads));
+  const float cell = CellSize(options, bounds.max_extent, eps);
+  if (stats != nullptr) stats->cell_size = cell;
+  const KeyLayout layout(cell, bounds, std::max(a.size(), b.size()));
+  Scratch& scratch = ThreadScratch();
+  const CellCsr& ga = BuildCsr(a, layout, options.threads, &scratch, 0);
+  const CellCsr& gb = BuildCsr(b, layout, options.threads, &scratch, 1);
 
-  // For each b-cell (in sorted key order), probe the 27-neighbourhood of
-  // a-cells (binary join has no symmetric halving).
-  const std::vector<CellRef> order = SortedCells(gb);
+  // For each b-cell (in key order), probe the 27-neighbourhood of a-cells
+  // (binary join has no symmetric halving). The offsets run in
+  // lexicographic order, so the probed keys ascend.
+  std::array<std::uint64_t, 27> offset{};
+  std::size_t d = 0;
+  for (int dx = -1; dx <= 1; ++dx) {
+    for (int dy = -1; dy <= 1; ++dy) {
+      for (int dz = -1; dz <= 1; ++dz) offset[d++] = layout.Offset(dx, dy, dz);
+    }
+  }
   detail::RunDeterministicChunks(
-      order.size(), options.threads, &out, &c, nullptr,
+      gb.cells(), options.threads, &out, &c, nullptr,
       [&](detail::JoinShard* shard, std::size_t begin, std::size_t end) {
+        if (begin == end) return;
+        std::array<std::size_t, 27> cursor{};
+        for (std::size_t k = 0; k < offset.size(); ++k) {
+          cursor[k] = LowerBound(ga.keys, gb.keys[begin] + offset[k]);
+        }
         for (std::size_t ci = begin; ci < end; ++ci) {
-          const CellKey& key = order[ci].first;
-          const auto& bucket_b = *order[ci].second;
           shard->counters.nodes_visited += 1;
-          for (int dx = -1; dx <= 1; ++dx) {
-            for (int dy = -1; dy <= 1; ++dy) {
-              for (int dz = -1; dz <= 1; ++dz) {
-                const auto it = ga.cells.find(
-                    CellKey{key.x + dx, key.y + dy, key.z + dz});
-                if (it == ga.cells.end()) continue;
-                shard->counters.structure_tests += 1;
-                for (const Element* eb : bucket_b) {
-                  for (const Element* ea : it->second) {
-                    shard->counters.element_tests += 1;
-                    if (PairMatches(ea->box, eb->box, eps)) {
-                      shard->pairs.emplace_back(ea->id, eb->id);
-                    }
-                  }
+          for (std::size_t k = 0; k < offset.size(); ++k) {
+            if (!SeekCell(ga.keys, gb.keys[ci] + offset[k], &cursor[k])) {
+              continue;
+            }
+            shard->counters.structure_tests += 1;
+            for (std::uint32_t i = gb.start[ci]; i < gb.start[ci + 1]; ++i) {
+              const Element& eb = gb.elems[i];
+              for (std::uint32_t j = ga.start[cursor[k]];
+                   j < ga.start[cursor[k] + 1]; ++j) {
+                const Element& ea = ga.elems[j];
+                shard->counters.element_tests += 1;
+                if (PairMatches(ea.box, eb.box, eps)) {
+                  shard->pairs.emplace_back(ea.id, eb.id);
                 }
               }
             }

@@ -106,11 +106,11 @@ struct GridJoinOptions {
   /// Enable the small-cell shortcut: when geometry guarantees that two
   /// boxes whose centres share a cell must intersect, skip their test.
   bool small_cell_shortcut = true;
-  /// Worker threads for the cell-pair phase (centre assignment stays
-  /// serial). Occupied cells are visited in sorted key order — serial and
-  /// parallel alike — and shards merged in chunk order, so the output is
-  /// bit-identical for every value. 0/1 = serial, kThreadsAuto =
-  /// hardware concurrency.
+  /// Worker threads for both phases: the cell CSR build (extent and key
+  /// reductions, radix sort, element copy) and the cell-pair join.
+  /// Occupied cells are visited in key order — serial and parallel alike —
+  /// and shards merged in chunk order, so the output is bit-identical for
+  /// every value. 0/1 = serial, kThreadsAuto = hardware concurrency.
   std::uint32_t threads = par::kThreadsAuto;
 };
 

@@ -95,7 +95,8 @@ struct SimulationConfig {
   /// Worker threads handed to the index (core::IndexOptions::threads):
   /// par::kThreadsAuto resolves to the hardware concurrency, 0 keeps the
   /// index's serial paths. Parallel-capable structures (MemGrid) use it for
-  /// Build / ApplyUpdates / SelfJoin; others ignore it.
+  /// Build / ApplyUpdates / SelfJoin; others ignore it. The synapse join
+  /// (join::GridSelfJoin) runs on the same count.
   std::uint32_t index_threads = par::kThreadsAuto;
   /// Cell-region storage order for the base MemGrid profiles
   /// (core::IndexOptions::layout): kRowMajor | kMorton | kHilbert. Other

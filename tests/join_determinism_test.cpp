@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/threads.h"
@@ -69,6 +70,51 @@ TEST_P(JoinDeterminismTest, GridJoin) {
   const auto b = GenerateClusteredBoxes(1500, kUniverse, 5, 3.0f, 0.2f,
                                         0.7f);
   ExpectThreadInvariant("GridJoin", [&](std::uint32_t threads) {
+    RunResult r;
+    GridJoinOptions o;
+    o.threads = threads;
+    r.pairs = GridJoin(a, b, eps, o, &r.counters);
+    return r;
+  });
+}
+
+/// Clustered boxes plus far-out points (huge, infinite, NaN coordinates)
+/// whose cell coordinates clamp into the packed key's span.
+std::vector<Element> ClampedSpanDataset(std::size_t n, std::uint64_t seed) {
+  auto elems = GenerateClusteredBoxes(n, kUniverse, 6, 3.0f, 0.2f, 0.6f,
+                                      seed);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float far[] = {1e11f, -3e38f, 3e38f, inf, -inf,
+                       std::numeric_limits<float>::quiet_NaN()};
+  for (const float v : far) {
+    for (const Vec3& p : {Vec3(v, 1, 1), Vec3(2, v, 2), Vec3(v, v, -v)}) {
+      for (int copy = 0; copy < 2; ++copy) {
+        elems.emplace_back(static_cast<ElementId>(elems.size()), AABB(p, p));
+      }
+    }
+  }
+  return elems;
+}
+
+TEST_P(JoinDeterminismTest, GridSelfJoinClampedSpan) {
+  const float eps = GetParam();
+  const auto elems = ClampedSpanDataset(2500, 13);
+  ExpectThreadInvariant("GridSelfJoin-clamped", [&](std::uint32_t threads) {
+    RunResult r;
+    GridJoinOptions o;
+    o.threads = threads;
+    GridJoinStats stats;
+    r.pairs = GridSelfJoin(elems, eps, o, &r.counters, &stats);
+    r.skipped = stats.skipped_tests;
+    return r;
+  });
+}
+
+TEST_P(JoinDeterminismTest, GridJoinClampedSpan) {
+  const float eps = GetParam();
+  const auto a = ClampedSpanDataset(1800, 31);
+  const auto b = ClampedSpanDataset(1500, 32);
+  ExpectThreadInvariant("GridJoin-clamped", [&](std::uint32_t threads) {
     RunResult r;
     GridJoinOptions o;
     o.threads = threads;

@@ -138,5 +138,29 @@ TEST(SimulationTest, SynapseMonitorFires) {
   EXPECT_EQ(reports[3].synapse_pairs, 0u);
 }
 
+TEST(SimulationTest, SynapseJoinFollowsIndexThreads) {
+  // index_threads governs the synapse join too; the join is bit-identical
+  // at every thread count, so the serial and the 4-thread run agree.
+  std::vector<std::size_t> pairs[2];
+  const std::uint32_t threads[2] = {0, 4};
+  for (int k = 0; k < 2; ++k) {
+    SimulationConfig cfg;
+    cfg.index_name = "memgrid";
+    cfg.index_threads = threads[k];
+    cfg.monitor_range_queries = 0;
+    cfg.synapse_every = 1;
+    cfg.synapse_eps = 1.0f;
+    datagen::PlasticityConfig pcfg;
+    Simulation sim(SmallModel(4000), kUniverse,
+                   std::make_unique<PlasticityKinetics>(pcfg, kUniverse),
+                   cfg);
+    for (const StepReport& r : sim.Run(3)) {
+      pairs[k].push_back(r.synapse_pairs);
+    }
+  }
+  EXPECT_GT(pairs[0][0], 0u);
+  EXPECT_EQ(pairs[0], pairs[1]);
+}
+
 }  // namespace
 }  // namespace simspatial::sim
