@@ -22,13 +22,6 @@
 //   --compact=<r>         MemGrid incremental-compaction budget: regions
 //                         reclaimed per ApplyUpdates batch (default 0 =
 //                         off).
-//   --decomp=<d>          MemGrid large-probe traversal on the curve
-//                         layouts: runs (default; BIGMIN curve-range
-//                         decomposition) or sort (legacy radix-sorted rank
-//                         gather). Results are identical; ns/op is the
-//                         point — compare on range-skewed (fine grid,
-//                         thousands of runs/query) with
-//                         --layout=morton|hilbert.
 //   --batch=<p>           probe count for the range-batch / count-batch /
 //                         knn-batch kernels (default 256): the same probes
 //                         are served once through the batch engine
@@ -114,13 +107,6 @@ int Main(int argc, char** argv) {
   }
   const auto shards = static_cast<std::uint32_t>(flags.GetSize("shards", 1));
   const auto compact = static_cast<std::uint32_t>(flags.GetSize("compact", 0));
-  core::RangeDecomp decomp = core::RangeDecomp::kRuns;
-  const std::string decomp_name = flags.GetString("decomp", "runs");
-  if (!core::ParseRangeDecomp(decomp_name, &decomp)) {
-    std::fprintf(stderr, "unknown --decomp=%s (expected sort|runs)\n",
-                 decomp_name.c_str());
-    return 2;
-  }
   const std::size_t batch = std::max<std::size_t>(
       1, flags.GetSize("batch", 256));
   const std::string failpoints_spec = flags.GetString("failpoints", "");
@@ -157,10 +143,10 @@ int Main(int argc, char** argv) {
   }
   std::printf("dataset: %zu %s elements, universe side %.0f, reps %zu, "
               "memgrid threads %u, memgrid layout %s, memgrid shards %u, "
-              "memgrid compact %u, memgrid decomp %s\n",
+              "memgrid compact %u\n",
               n, dataset_name.c_str(), universe.Extent().x, reps,
               par::ResolveThreads(threads), core::ToString(layout), shards,
-              compact, core::ToString(decomp));
+              compact);
 
   const auto stats = grid::DatasetStats::Compute(elems, universe);
   const float grid_cell = std::max(
@@ -172,7 +158,6 @@ int Main(int argc, char** argv) {
   mg_cfg.layout = layout;
   mg_cfg.shards = shards;
   mg_cfg.compact_regions_per_batch = compact;
-  mg_cfg.decomp = decomp;
 
   datagen::RangeWorkloadConfig wl_cfg;
   wl_cfg.num_queries = 64;
@@ -324,12 +309,9 @@ int Main(int argc, char** argv) {
   // fine-celled grid (cell = max element extent, the §4.3 self-join
   // sizing): the probe box cuts across the space-filling curve instead of
   // riding along it and spans tens of thousands of cells, so the curve
-  // layouts see thousands of rank runs per query — the regime where the
-  // per-query radix-sorted rank gather (--decomp=sort) pays an O(cells)
-  // scratch fill plus sort passes that the BIGMIN orthant walk
-  // (--decomp=runs, the default) eliminates. The default-grid kernels
-  // above keep covering the query-tuned coarse grid, where both
-  // traversals are noise-level equal.
+  // layouts see thousands of rank runs per query — the regime the BIGMIN
+  // orthant walk (CurveRangeRankRuns) exists for. The default-grid kernels
+  // above keep covering the query-tuned coarse grid.
   {
     core::MemGridConfig fine_cfg = mg_cfg;
     fine_cfg.cell_size = static_cast<float>(stats.max_extent) * 1.01f;
@@ -352,7 +334,7 @@ int Main(int argc, char** argv) {
            static_cast<double>(skew_queries.size()));
     // Decomposition shape, for the record: how many fused rank runs the
     // active layout yields per probe (untimed; CurveRangeRankRuns is
-    // exactly what the kRuns traversal enumerates). Lattice geometry comes
+    // exactly what the large-probe traversal enumerates). Lattice geometry comes
     // from the grid itself — re-deriving it from cell_size could land one
     // cell off the lattice actually timed.
     const core::MemGridShape shape = memgrid_fine.Shape();
@@ -376,14 +358,12 @@ int Main(int argc, char** argv) {
         lo[a] = at(probe.min);
         hi[a] = at(probe.max);
       }
-      if (core::CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs)) {
-        total_runs += static_cast<double>(runs.size());
-      }
+      core::CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs);
+      total_runs += static_cast<double>(runs.size());
     }
-    std::printf("decomposition (%s/%s): fine grid %ux%ux%u, %.0f rank "
+    std::printf("decomposition (%s): fine grid %ux%ux%u, %.0f rank "
                 "runs/query on skewed slabs\n",
-                core::ToString(layout), core::ToString(decomp), dims[0],
-                dims[1], dims[2],
+                core::ToString(layout), dims[0], dims[1], dims[2],
                 total_runs / static_cast<double>(skew_queries.size()));
   }
 
@@ -525,7 +505,6 @@ int Main(int argc, char** argv) {
     json.Field("layout", core::ToString(layout));
     json.Field("shards", static_cast<double>(shards));
     json.Field("compact_regions", static_cast<double>(compact));
-    json.Field("decomp", core::ToString(decomp));
     json.Field("batch", static_cast<double>(batch));
     // Failpoint-instrumented builds carry extra branches on the hot paths;
     // bench_trajectory refuses to gate numbers from (or against) them.

@@ -45,7 +45,7 @@
 //                      '#' starts a comment line.
 //   --reps=<r>         timed replays per mode (default 3; median throughput,
 //                      latencies pooled across reps)
-//   --threads/--layout/--shards/--compact/--decomp  MemGrid knobs as in
+//   --threads/--layout/--shards/--compact  MemGrid knobs as in
 //                      bench_micro
 //   --json=<path>      emit bench_util JSON records
 //   --selfcheck        after writing --json, re-read it and fail (exit 3)
@@ -345,13 +345,6 @@ int Main(int argc, char** argv) {
   }
   const auto shards = static_cast<std::uint32_t>(flags.GetSize("shards", 1));
   const auto compact = static_cast<std::uint32_t>(flags.GetSize("compact", 0));
-  core::RangeDecomp decomp = core::RangeDecomp::kRuns;
-  const std::string decomp_name = flags.GetString("decomp", "runs");
-  if (!core::ParseRangeDecomp(decomp_name, &decomp)) {
-    std::fprintf(stderr, "unknown --decomp=%s (expected sort|runs)\n",
-                 decomp_name.c_str());
-    return 2;
-  }
   Mix mix;
   const std::string mix_spec = flags.GetString("mix", "70:15:10:5");
   if (!ParseMix(mix_spec, &mix)) {
@@ -412,11 +405,10 @@ int Main(int argc, char** argv) {
       trace_path.empty() ? "mix " + mix_spec : "trace " + trace_path;
   std::printf("dataset: %zu %s elements; stream: %zu ops (%zu queries, %zu "
               "updates, %s), window %zu, zipf %.2f, threads %u, layout %s, "
-              "shards %u, compact %u, decomp %s, reps %zu\n",
+              "shards %u, compact %u, reps %zu\n",
               n, dataset_name.c_str(), stream.size(), query_ops, update_ops,
               source.c_str(), window, zipf, par::ResolveThreads(threads),
-              core::ToString(layout), shards, compact, core::ToString(decomp),
-              reps);
+              core::ToString(layout), shards, compact, reps);
 
   const auto stats = grid::DatasetStats::Compute(elems, universe);
   core::MemGridConfig mg_cfg;
@@ -427,7 +419,6 @@ int Main(int argc, char** argv) {
   mg_cfg.layout = layout;
   mg_cfg.shards = shards;
   mg_cfg.compact_regions_per_batch = compact;
-  mg_cfg.decomp = decomp;
 
   // Each mode replays the same stream against a freshly-built grid. Update
   // ops set absolute boxes, so reps beyond the first replay onto identical
@@ -469,7 +460,6 @@ int Main(int argc, char** argv) {
     json.Field("layout", core::ToString(layout));
     json.Field("shards", static_cast<double>(shards));
     json.Field("compact_regions", static_cast<double>(compact));
-    json.Field("decomp", core::ToString(decomp));
     json.Field("batch", static_cast<double>(window));
     json.Field("zipf", zipf);
     json.Field("mix", mix_spec);

@@ -32,12 +32,15 @@
 //   --serving-reps=<r>         serving replays per mode (default 3)
 //
 // The serving gate replays the baseline's workload (n, dataset, layout,
-// shards, compact, decomp, batch window, zipf, mix, probe count are all
-// rebuilt from the committed front record) and gates BOTH directions of
+// shards, compact, batch window, zipf, mix, probe count are all rebuilt
+// from the committed front record) and gates BOTH directions of
 // regression per (kernel, structure): sustained throughput (baseline/new,
 // so a throughput LOSS trips it) and p95 latency (new/baseline). Either
 // median exceeding 1 + max-regression fails; instrumented
 // (failpoints=1) baselines or fresh runs are refused, as for bench_micro.
+// So are baselines whose "decomp" field names a large-probe traversal
+// other than "runs": the BIGMIN run walk is the only one left, so such a
+// baseline timed code that no longer exists.
 
 #include <algorithm>
 #include <cstdio>
@@ -64,6 +67,19 @@ double Median(std::vector<double> v) {
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
+/// True (after explaining why) when a baseline was timed on a large-probe
+/// traversal other than the BIGMIN run walk ("runs"), the only one the
+/// benches still run: its numbers describe code that no longer exists.
+bool RetiredTraversal(const Record& front, const std::string& path) {
+  const std::string decomp = Get(front, "decomp");
+  if (decomp.empty() || decomp == "runs") return false;
+  std::fprintf(stderr,
+               "trajectory: baseline %s was measured on the \"%s\" "
+               "range traversal, which no longer exists — regenerate it\n",
+               path.c_str(), decomp.c_str());
+  return true;
+}
+
 /// Serving-workload gate: rerun bench_serving at the committed baseline's
 /// workload and gate per-(kernel, structure) throughput and p95 latency.
 /// Returns 0 = OK, 1 = regression, 2 = setup/coverage error.
@@ -87,6 +103,7 @@ int RunServingGate(const std::string& bench, const std::string& baseline_path,
                  baseline_path.c_str());
     return 2;
   }
+  if (RetiredTraversal(front, baseline_path)) return 2;
   // A trace-driven baseline references a file that need not exist on the
   // gating machine; only the self-contained Zipf workload is reproducible.
   if (!Get(front, "trace").empty()) {
@@ -114,7 +131,6 @@ int RunServingGate(const std::string& bench, const std::string& baseline_path,
       opt("layout", Get(front, "layout")) +
       opt("shards", Get(front, "shards")) +
       opt("compact", Get(front, "compact_regions")) +
-      opt("decomp", Get(front, "decomp")) +
       opt("batch", Get(front, "batch")) + opt("zipf", Get(front, "zipf")) +
       opt("mix", Get(front, "mix")) + opt("probes", Get(front, "probes")) +
       " --json=\"" + out_path + "\"";
@@ -251,7 +267,6 @@ int Main(int argc, char** argv) {
   const std::string layout = Get(baseline.front(), "layout");
   const std::string shards = Get(baseline.front(), "shards");
   const std::string compact = Get(baseline.front(), "compact_regions");
-  const std::string decomp = Get(baseline.front(), "decomp");
   if (n.empty() || dataset.empty()) {
     std::fprintf(stderr, "trajectory: baseline lacks n/dataset fields\n");
     return 2;
@@ -267,13 +282,13 @@ int Main(int argc, char** argv) {
                  baseline_path.c_str());
     return 2;
   }
+  if (RetiredTraversal(baseline.front(), baseline_path)) return 2;
   const std::string cmd =
       "\"" + bench + "\" --n=" + n + " --dataset=" + dataset +
       " --reps=" + std::to_string(reps) + " --threads=1" +
       (layout.empty() ? "" : " --layout=" + layout) +
       (shards.empty() ? "" : " --shards=" + shards) +
-      (compact.empty() ? "" : " --compact=" + compact) +
-      (decomp.empty() ? "" : " --decomp=" + decomp) + " --json=\"" +
+      (compact.empty() ? "" : " --compact=" + compact) + " --json=\"" +
       out_path + "\"";
   std::printf("trajectory: %s\n", cmd.c_str());
   std::fflush(stdout);

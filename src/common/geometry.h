@@ -542,6 +542,22 @@ bool TriangleIntersectsAABB(const Vec3& t0, const Vec3& t1, const Vec3& t2,
 /// AABB-hits is not face-connected even on convex meshes).
 bool TetIntersectsAABB(const Tetrahedron& tet, const AABB& box);
 
+/// Float -> integer cell coordinate, defined for every input: clamps `t`
+/// into [lo, hi] in float BEFORE the cast (casting a float outside the
+/// int32 range is undefined behaviour), then truncates toward zero; NaN
+/// maps to `lo` (cell 0 for the grids). Requires lo <= hi, both exact in
+/// float (|v| <= 2^24). Wherever the plain cast was defined, the result
+/// equals clamping the cast value — the grids' cell lookups keep their
+/// exact cells.
+inline std::int32_t ClampedCellCoord(float t, std::int32_t lo,
+                                     std::int32_t hi) {
+  // std::max(a, b) returns a unless a < b, so the bound goes first: a NaN
+  // `t` compares false and yields `lo`. The form stays branch-free (one
+  // maxss/minss pair) and vectorises in the callers' loops.
+  return static_cast<std::int32_t>(std::min(
+      static_cast<float>(hi), std::max(static_cast<float>(lo), t)));
+}
+
 /// Morton (Z-order) code of integer lattice coordinates (low 21 bits per
 /// axis are used; x occupies the least-significant interleave slot).
 /// Injective on [0, 2^21)^3 — distinct cells get distinct keys — which is
@@ -550,8 +566,7 @@ std::uint64_t MortonEncodeCell(std::uint32_t x, std::uint32_t y,
                                std::uint32_t z);
 
 /// Inverse of MortonEncodeCell: recover the lattice coordinates from a
-/// Morton key. The curve-range decomposition (core::CurveRangeRuns) uses it
-/// to locate the entry cell of each enumerated key run.
+/// Morton key.
 void MortonDecodeCell(std::uint64_t key, std::uint32_t* x, std::uint32_t* y,
                       std::uint32_t* z);
 
@@ -569,7 +584,7 @@ std::uint64_t HilbertEncodeCell(std::uint32_t x, std::uint32_t y,
 /// then the published TransposetoAxes pass). Both curve codecs are
 /// *hierarchical*: the cells whose keys share a 3*l-bit prefix form an
 /// axis-aligned subcube of side 2^(bits-l) — the property the BIGMIN-style
-/// range decomposition (core::CurveRangeRuns) is built on.
+/// range decomposition (core::CurveRangeRankRuns) is built on.
 void HilbertDecodeCell(std::uint64_t key, int bits, std::uint32_t* x,
                        std::uint32_t* y, std::uint32_t* z);
 

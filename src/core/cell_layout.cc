@@ -34,14 +34,12 @@ inline void EmitRun(std::uint64_t begin, std::uint64_t end,
 // Rather than hard-coding the 3-D table (whose entries depend on exactly
 // which of the many "the" Hilbert curves HilbertEncodeCell implements),
 // BuildHilbertMachine() derives it FROM the codec at first use: the eight
-// child transforms are solved from the bits=2 decode, the state set is
-// closed under composition (at most the 48 signed permutations), and the
-// finished machine is verified key-for-key against HilbertDecodeCell at
-// bits=3 and bits=4. If the codec ever stopped being self-similar the
-// verification would fail and CurveRangeRuns would fall back to the
-// codec-generic coordinate descent below (correct for any hierarchical
-// curve, just slower) — the decomposition can therefore never drift from
-// the codec, which is also what the curve_runs_test fuzz pins end to end.
+// child transforms are solved from the bits=2 decode and the state set is
+// closed under composition (at most the 48 signed permutations). The
+// derivation is a pure function of the codec, so its check is a test:
+// curve_runs_test expands the walk over the full bits=3 and bits=4 cubes
+// and compares it cell by cell with HilbertDecodeCell (debug builds also
+// assert the same comparison here).
 
 /// Signed permutation of the axes acting on octant bit-triples
 /// (x | y<<1 | z<<2): output axis a reads input axis `axis[a]`, XOR
@@ -79,7 +77,6 @@ struct AxisMap {
 constexpr int kMaxStates = 48;  // |signed permutations of 3 axes|.
 
 struct HilbertMachine {
-  bool valid = false;
   std::uint8_t oct[kMaxStates][8];   ///< (state, visit pos) -> octant triple.
   std::uint8_t next[kMaxStates][8];  ///< (state, visit pos) -> child state.
 };
@@ -91,8 +88,8 @@ std::uint8_t PackedCell(std::uint64_t key, int bits) {
 }
 
 /// Expand the machine into the key -> cell mapping of a `bits`-deep curve
-/// and compare against the codec (the self-check behind `valid`).
-bool MachineMatchesCodec(const HilbertMachine& m, int bits) {
+/// and compare against the codec (a debug-build assert).
+[[maybe_unused]] bool MachineMatchesCodec(const HilbertMachine& m, int bits) {
   struct Frame {
     std::uint32_t bx, by, bz;
     std::uint8_t state;
@@ -153,7 +150,7 @@ HilbertMachine BuildHilbertMachine() {
           }
         }
       }
-      if (!solved) return m;  // Not a signed permutation: not self-similar.
+      assert(solved && "Hilbert codec is not self-similar");
     }
     child_map[p] = t;
   }
@@ -161,10 +158,10 @@ HilbertMachine BuildHilbertMachine() {
   std::vector<AxisMap> states;
   std::array<std::int8_t, 512> id_of;
   id_of.fill(-1);
+  // Every state is a signed permutation, so at most kMaxStates exist.
   const auto intern = [&](const AxisMap& s) -> int {
     const std::uint16_t packed = s.Packed();
     if (id_of[packed] >= 0) return id_of[packed];
-    if (states.size() >= kMaxStates) return -1;
     id_of[packed] = static_cast<std::int8_t>(states.size());
     states.push_back(s);
     return id_of[packed];
@@ -174,12 +171,12 @@ HilbertMachine BuildHilbertMachine() {
     const AxisMap state = states[s];  // By value: `states` grows below.
     for (int p = 0; p < 8; ++p) {
       m.oct[s][p] = state.Apply(canon[p]);
-      const int child = intern(state.Compose(child_map[p]));
-      if (child < 0) return m;
-      m.next[s][p] = static_cast<std::uint8_t>(child);
+      m.next[s][p] =
+          static_cast<std::uint8_t>(intern(state.Compose(child_map[p])));
     }
   }
-  m.valid = MachineMatchesCodec(m, 3) && MachineMatchesCodec(m, 4);
+  assert(states.size() <= kMaxStates);
+  assert(MachineMatchesCodec(m, 3) && MachineMatchesCodec(m, 4));
   return m;
 }
 
@@ -198,57 +195,35 @@ const HilbertMachine& GetMortonMachine() {
       m.oct[0][p] = static_cast<std::uint8_t>(p);
       m.next[0][p] = 0;
     }
-    m.valid = true;
     return m;
   }();
   return machine;
 }
 
-/// Coordinate-space policy for the block walk below: what one block (or
-/// one level-1 cell) outside the box contributes to the running cursor.
-/// In KEY space every key counts, so the cursor reproduces the block's
-/// base key; in RANK space only lattice cells count, so the cursor is the
-/// number of lattice cells passed in key order — i.e. the next rank.
-struct KeySpace {
-  static std::uint64_t BlockCells(std::uint32_t, std::uint32_t, std::uint32_t,
-                                  int level, const CellVec&) {
-    return std::uint64_t{1} << (3 * level);
-  }
-  static std::uint64_t CellCells(std::uint32_t, std::uint32_t, std::uint32_t,
-                                 const CellVec&) {
-    return 1;
-  }
-};
-struct RankSpace {
-  static std::uint64_t BlockCells(std::uint32_t bx, std::uint32_t by,
-                                  std::uint32_t bz, int level,
-                                  const CellVec& dims) {
-    const std::uint32_t side = 1u << level;
-    const std::uint64_t ox =
-        bx >= dims[0] ? 0 : std::min<std::uint64_t>(side, dims[0] - bx);
-    const std::uint64_t oy =
-        by >= dims[1] ? 0 : std::min<std::uint64_t>(side, dims[1] - by);
-    const std::uint64_t oz =
-        bz >= dims[2] ? 0 : std::min<std::uint64_t>(side, dims[2] - bz);
-    return ox * oy * oz;
-  }
-  static std::uint64_t CellCells(std::uint32_t cx, std::uint32_t cy,
-                                 std::uint32_t cz, const CellVec& dims) {
-    return cx < dims[0] && cy < dims[1] && cz < dims[2] ? 1 : 0;
-  }
-};
+/// Lattice cells inside the block at (bx, by, bz) with side 2^level: what
+/// a pruned block contributes to the rank cursor of the walk below.
+std::uint64_t LatticeOverlap(std::uint32_t bx, std::uint32_t by,
+                             std::uint32_t bz, int level,
+                             const CellVec& dims) {
+  const std::uint32_t side = 1u << level;
+  const std::uint64_t ox =
+      bx >= dims[0] ? 0 : std::min<std::uint64_t>(side, dims[0] - bx);
+  const std::uint64_t oy =
+      by >= dims[1] ? 0 : std::min<std::uint64_t>(side, dims[1] - by);
+  const std::uint64_t oz =
+      bz >= dims[2] ? 0 : std::min<std::uint64_t>(side, dims[2] - bz);
+  return ox * oy * oz;
+}
 
-/// Key-order block walk (see the CurveRangeRuns / CurveRangeRankRuns
-/// header comments): the block at (bx, by, bz) with side 2^level is
-/// traversed by `state`'s orientation — O(1) per block, one table lookup
-/// per octant, no codec evaluation. `*cursor` carries the Space-counted
-/// cells passed so far, so at emission time it IS the block's first key
-/// (KeySpace) resp. rank (RankSpace); every block, emitted or pruned,
-/// advances it. Emission is in ascending cursor order, so EmitRun's
-/// one-back fusion yields the maximal runs directly — and under RankSpace
-/// blocks fully outside the lattice advance nothing, fusing runs across
+/// Key-order block walk (see the CurveRangeRankRuns header comment): the
+/// block at (bx, by, bz) with side 2^level is traversed by `state`'s
+/// orientation — O(1) per block, one table lookup per octant, no codec
+/// evaluation. `*cursor` counts the lattice cells passed so far, so at
+/// emission time it IS the block's first rank; every block, emitted or
+/// pruned, advances it. Emission is in ascending cursor order, so
+/// EmitRun's one-back fusion yields the maximal runs directly — and blocks
+/// fully outside the lattice advance nothing, fusing runs across
 /// out-of-lattice key gaps.
-template <typename Space>
 void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
                 std::uint32_t by, std::uint32_t bz, std::uint8_t state,
                 const CellVec& lo, const CellVec& hi, const CellVec& dims,
@@ -257,14 +232,14 @@ void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
   if (bx > hi[0] || bx + side_minus_1 < lo[0] || by > hi[1] ||
       by + side_minus_1 < lo[1] || bz > hi[2] || bz + side_minus_1 < lo[2]) {
     // Disjoint: the block's keys are exactly a (LITMAX, BIGMIN) gap.
-    *cursor += Space::BlockCells(bx, by, bz, level, dims);
+    *cursor += LatticeOverlap(bx, by, bz, level, dims);
     return;
   }
   if (bx >= lo[0] && bx + side_minus_1 <= hi[0] && by >= lo[1] &&
       by + side_minus_1 <= hi[1] && bz >= lo[2] &&
       bz + side_minus_1 <= hi[2]) {
     // Contained (in the box, hence in the lattice): all 8^level cells
-    // count in either space.
+    // count.
     const std::uint64_t cells = std::uint64_t{1} << (3 * level);
     EmitRun(*cursor, *cursor + cells, out);
     *cursor += cells;
@@ -288,7 +263,7 @@ void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
         EmitRun(*cursor, *cursor + 1, out);
         ++*cursor;
       } else {
-        *cursor += Space::CellCells(cx, cy, cz, dims);
+        *cursor += cx < dims[0] && cy < dims[1] && cz < dims[2] ? 1 : 0;
       }
     }
     return;
@@ -296,72 +271,18 @@ void WalkBlocks(const HilbertMachine& m, int level, std::uint32_t bx,
   const std::uint32_t half = 1u << (level - 1);
   for (std::uint32_t p = 0; p < 8; ++p) {
     const std::uint8_t o = m.oct[state][p];
-    WalkBlocks<Space>(m, level - 1, bx + (o & 1u) * half,
-                      by + ((o >> 1) & 1u) * half,
-                      bz + ((o >> 2) & 1u) * half, m.next[state][p], lo, hi,
-                      dims, cursor, out);
+    WalkBlocks(m, level - 1, bx + (o & 1u) * half,
+               by + ((o >> 1) & 1u) * half, bz + ((o >> 2) & 1u) * half,
+               m.next[state][p], lo, hi, dims, cursor, out);
   }
 }
 
-/// Early-exit variant of WalkBlocks<RankSpace> for the schedule anchor:
-/// stop at the FIRST in-box block — `*cursor` at that moment is the first
-/// rank the full decomposition would emit (its first run's begin). Pruned
-/// blocks advance the cursor exactly as in the full walk; the recursion
-/// unwinds as soon as any branch reports a hit.
-bool FirstRankWalk(const HilbertMachine& m, int level, std::uint32_t bx,
-                   std::uint32_t by, std::uint32_t bz, std::uint8_t state,
-                   const CellVec& lo, const CellVec& hi, const CellVec& dims,
-                   std::uint64_t* cursor) {
-  const std::uint32_t side_minus_1 = (1u << level) - 1u;
-  if (bx > hi[0] || bx + side_minus_1 < lo[0] || by > hi[1] ||
-      by + side_minus_1 < lo[1] || bz > hi[2] || bz + side_minus_1 < lo[2]) {
-    *cursor += RankSpace::BlockCells(bx, by, bz, level, dims);
-    return false;
-  }
-  if (bx >= lo[0] && bx + side_minus_1 <= hi[0] && by >= lo[1] &&
-      by + side_minus_1 <= hi[1] && bz >= lo[2] &&
-      bz + side_minus_1 <= hi[2]) {
-    return true;  // *cursor is the block's first rank.
-  }
-  assert(level > 0);
-  if (level == 1) {
-    for (std::uint32_t p = 0; p < 8; ++p) {
-      const std::uint8_t o = m.oct[state][p];
-      const std::uint32_t cx = bx + (o & 1u);
-      const std::uint32_t cy = by + ((o >> 1) & 1u);
-      const std::uint32_t cz = bz + ((o >> 2) & 1u);
-      if (cx >= lo[0] && cx <= hi[0] && cy >= lo[1] && cy <= hi[1] &&
-          cz >= lo[2] && cz <= hi[2]) {
-        return true;
-      }
-      *cursor += RankSpace::CellCells(cx, cy, cz, dims);
-    }
-    return false;
-  }
-  const std::uint32_t half = 1u << (level - 1);
-  for (std::uint32_t p = 0; p < 8; ++p) {
-    const std::uint8_t o = m.oct[state][p];
-    if (FirstRankWalk(m, level - 1, bx + (o & 1u) * half,
-                      by + ((o >> 1) & 1u) * half,
-                      bz + ((o >> 2) & 1u) * half, m.next[state][p], lo, hi,
-                      dims, cursor)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Pruning-only variant of the early-exit walk for callers that hold a
-/// cell -> rank table (MemGrid does): find the first in-box CELL in key
-/// order and return its coordinates, with NO cursor accounting at all.
-/// FirstRankWalk pays RankSpace::BlockCells — three clamps and two
-/// multiplies — on every pruned sibling so that its cursor equals the
-/// rank at the hit; here pruned blocks cost only the disjointness test,
-/// and a fully-contained block resolves by descending the curve's entry
-/// chain (octant p = 0 at every level) straight to its first cell. Rank
-/// is monotone in key over lattice cells, so this cell's table rank is
-/// exactly the rank FirstRankWalk computes — at a fraction of the cost
-/// on probes deep in the key order.
+/// Pruning-only early-exit walk: find the first in-box CELL in key order
+/// and return its coordinates, with no cursor accounting at all. Pruned
+/// blocks cost only the disjointness test, and a fully-contained block
+/// resolves by descending the curve's entry chain (octant p = 0 at every
+/// level) straight to its first cell. Rank is monotone in key over lattice
+/// cells, so this cell's rank is the first rank WalkBlocks emits.
 bool FirstCellWalk(const HilbertMachine& m, int level, std::uint32_t bx,
                    std::uint32_t by, std::uint32_t bz, std::uint8_t state,
                    const CellVec& lo, const CellVec& hi, CellVec* cell) {
@@ -415,67 +336,20 @@ bool FirstCellWalk(const HilbertMachine& m, int level, std::uint32_t bx,
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Codec-generic fallback: coordinate-space descent into the box's maximal
-// aligned cubes, one ENCODE per emitted block (the top 3*(bits-level) key
-// bits identify a block), then a sort-and-fuse pass. Correct for any
-// hierarchical curve; only used if the state-machine derivation ever fails
-// to reproduce the codec.
-
-template <typename EncodeFn>
-void DescendBox(int level, std::uint32_t bx, std::uint32_t by,
-                std::uint32_t bz, const CellVec& lo, const CellVec& hi,
-                const EncodeFn& encode, std::vector<CurveRun>* out) {
-  const std::uint32_t side_minus_1 = (1u << level) - 1u;
-  if (bx >= lo[0] && bx + side_minus_1 <= hi[0] && by >= lo[1] &&
-      by + side_minus_1 <= hi[1] && bz >= lo[2] &&
-      bz + side_minus_1 <= hi[2]) {
-    const std::uint64_t block_keys = std::uint64_t{1} << (3 * level);
-    const std::uint64_t first = encode(bx, by, bz) & ~(block_keys - 1);
-    out->push_back(CurveRun{first, first + block_keys});
-    return;
-  }
-  assert(level > 0);
-  const std::uint32_t half = 1u << (level - 1);
-  for (std::uint32_t child = 0; child < 8; ++child) {
-    const std::uint32_t cx = bx + ((child & 1u) != 0 ? half : 0);
-    const std::uint32_t cy = by + ((child & 2u) != 0 ? half : 0);
-    const std::uint32_t cz = bz + ((child & 4u) != 0 ? half : 0);
-    if (cx <= hi[0] && cx + half - 1 >= lo[0] && cy <= hi[1] &&
-        cy + half - 1 >= lo[1] && cz <= hi[2] && cz + half - 1 >= lo[2]) {
-      DescendBox(level - 1, cx, cy, cz, lo, hi, encode, out);
-    }
-  }
-}
-
-void SortAndFuse(std::vector<CurveRun>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const CurveRun& a, const CurveRun& b) {
-              return a.begin < b.begin;
-            });
-  std::size_t w = 0;
-  for (std::size_t i = 1; i < out->size(); ++i) {
-    if ((*out)[i].begin == (*out)[w].end) {
-      (*out)[w].end = (*out)[i].end;
-    } else {
-      (*out)[++w] = (*out)[i];
-    }
-  }
-  if (!out->empty()) out->resize(w + 1);
-}
-
 }  // namespace
 
-void CurveRangeRuns(CellLayout layout, const CellVec& lo, const CellVec& hi,
-                    const CellVec& dims, int bits,
-                    std::vector<CurveRun>* out) {
+void CurveRangeRankRuns(CellLayout layout, const CellVec& lo,
+                        const CellVec& hi, const CellVec& dims, int bits,
+                        std::vector<CurveRun>* out) {
   out->clear();
   assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
+  assert(hi[0] < dims[0] && hi[1] < dims[1] && hi[2] < dims[2]);
+  std::uint64_t cursor = 0;
   switch (layout) {
     case CellLayout::kRowMajor: {
-      // key = (x * ny + y) * nz + z: every (x, y) column of the box is one
-      // run [key(x,y,lo_z), key(x,y,hi_z)]; EmitRun fuses columns, planes
-      // and ultimately the whole box when they happen to be key-adjacent
+      // rank = (x * ny + y) * nz + z: every (x, y) column of the box is one
+      // run [rank(x,y,lo_z), rank(x,y,hi_z)]; EmitRun fuses columns, planes
+      // and ultimately the whole box when they happen to be adjacent
       // (full-depth columns in a full-height plane, etc).
       const std::uint64_t ny = dims[1];
       const std::uint64_t nz = dims[2];
@@ -487,111 +361,29 @@ void CurveRangeRuns(CellLayout layout, const CellVec& lo, const CellVec& hi,
       }
       return;
     }
-    case CellLayout::kMorton: {
-      std::uint64_t cursor = 0;
-      WalkBlocks<KeySpace>(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0,
-                           lo, hi, dims, &cursor, out);
+    case CellLayout::kMorton:
+      WalkBlocks(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
+                 &cursor, out);
       return;
-    }
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (m.valid) {
-        std::uint64_t cursor = 0;
-        WalkBlocks<KeySpace>(m, bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
-                             &cursor, out);
-      } else {
-        DescendBox(bits, 0, 0, 0, lo, hi,
-                   [bits](std::uint32_t x, std::uint32_t y, std::uint32_t z) {
-                     return HilbertEncodeCell(x, y, z, bits);
-                   },
-                   out);
-        SortAndFuse(out);
-      }
+    case CellLayout::kHilbert:
+      WalkBlocks(GetHilbertMachine(), bits, 0, 0, 0, /*state=*/0, lo, hi,
+                 dims, &cursor, out);
       return;
-    }
   }
 }
 
-bool CurveRangeRankRuns(CellLayout layout, const CellVec& lo,
-                        const CellVec& hi, const CellVec& dims, int bits,
-                        std::vector<CurveRun>* out) {
-  out->clear();
+CellVec CurveRangeFirstCell(CellLayout layout, const CellVec& lo,
+                            const CellVec& hi, int bits) {
   assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
-  assert(hi[0] < dims[0] && hi[1] < dims[1] && hi[2] < dims[2]);
-  std::uint64_t cursor = 0;
-  switch (layout) {
-    case CellLayout::kRowMajor:
-      // Row-major rank IS the row-major key: the key runs are the rank
-      // runs verbatim.
-      CurveRangeRuns(layout, lo, hi, dims, bits, out);
-      return true;
-    case CellLayout::kMorton:
-      WalkBlocks<RankSpace>(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0,
-                            lo, hi, dims, &cursor, out);
-      return true;
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (!m.valid) return false;
-      WalkBlocks<RankSpace>(m, bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
-                            &cursor, out);
-      return true;
-    }
+  CellVec cell = lo;  // Row-major rank is monotone per axis: min corner.
+  if (layout != CellLayout::kRowMajor) {
+    [[maybe_unused]] const bool found = FirstCellWalk(
+        layout == CellLayout::kMorton ? GetMortonMachine()
+                                      : GetHilbertMachine(),
+        bits, 0, 0, 0, /*state=*/0, lo, hi, &cell);
+    assert(found);  // A non-empty box always holds a first cell.
   }
-  return false;
-}
-
-bool CurveRangeFirstRank(CellLayout layout, const CellVec& lo,
-                         const CellVec& hi, const CellVec& dims, int bits,
-                         std::uint64_t* rank) {
-  assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
-  assert(hi[0] < dims[0] && hi[1] < dims[1] && hi[2] < dims[2]);
-  std::uint64_t cursor = 0;
-  switch (layout) {
-    case CellLayout::kRowMajor:
-      // Row-major rank is monotone per axis, so the box's first rank is the
-      // min corner's key — no walk needed.
-      *rank = (static_cast<std::uint64_t>(lo[0]) * dims[1] + lo[1]) * dims[2] +
-              lo[2];
-      return true;
-    case CellLayout::kMorton:
-      if (FirstRankWalk(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0, lo,
-                        hi, dims, &cursor)) {
-        *rank = cursor;
-        return true;
-      }
-      return false;  // Unreachable for a non-empty in-lattice box.
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (!m.valid) return false;
-      if (FirstRankWalk(m, bits, 0, 0, 0, /*state=*/0, lo, hi, dims,
-                        &cursor)) {
-        *rank = cursor;
-        return true;
-      }
-      return false;
-    }
-  }
-  return false;
-}
-
-bool CurveRangeFirstCell(CellLayout layout, const CellVec& lo,
-                         const CellVec& hi, int bits, CellVec* cell) {
-  assert(lo[0] <= hi[0] && lo[1] <= hi[1] && lo[2] <= hi[2]);
-  switch (layout) {
-    case CellLayout::kRowMajor:
-      // Row-major key is monotone per axis: the min corner comes first.
-      *cell = lo;
-      return true;
-    case CellLayout::kMorton:
-      return FirstCellWalk(GetMortonMachine(), bits, 0, 0, 0, /*state=*/0,
-                           lo, hi, cell);
-    case CellLayout::kHilbert: {
-      const HilbertMachine& m = GetHilbertMachine();
-      if (!m.valid) return false;
-      return FirstCellWalk(m, bits, 0, 0, 0, /*state=*/0, lo, hi, cell);
-    }
-  }
-  return false;
+  return cell;
 }
 
 }  // namespace simspatial::core

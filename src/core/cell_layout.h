@@ -65,37 +65,7 @@ inline bool ParseCellLayout(std::string_view name, CellLayout* out) {
   return true;
 }
 
-/// How MemGrid turns a range probe's cell box into contiguous-rank streams
-/// on the curve layouts (kRowMajor always uses the coordinate-order scan —
-/// cell-index order IS rank order there, so fusion is already maximal).
-enum class RangeDecomp : std::uint8_t {
-  /// Legacy path: gather every probed cell's rank and LSD-radix-sort them —
-  /// O(cells) scratch plus the sort passes on every large probe.
-  kSort = 0,
-  /// BIGMIN-style curve-range decomposition (CurveRangeRuns below): the
-  /// fused rank runs are enumerated directly from the codec, no per-query
-  /// sort and no O(cells) scratch. The default.
-  kRuns = 1,
-};
-
-inline const char* ToString(RangeDecomp decomp) {
-  return decomp == RangeDecomp::kSort ? "sort" : "runs";
-}
-
-/// Parse a user-facing decomposition name ("sort" | "runs"). Returns false
-/// (and leaves *out untouched) for unknown names.
-inline bool ParseRangeDecomp(std::string_view name, RangeDecomp* out) {
-  if (name == "sort") {
-    *out = RangeDecomp::kSort;
-  } else if (name == "runs") {
-    *out = RangeDecomp::kRuns;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// One maximal run of consecutive curve keys, half-open: [begin, end).
+/// One maximal run of consecutive lattice ranks, half-open: [begin, end).
 struct CurveRun {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
@@ -105,9 +75,11 @@ struct CurveRun {
 using CellVec = std::array<std::uint32_t, 3>;
 
 /// Decompose the inclusive lattice box [lo, hi] into the maximal runs of
-/// consecutive curve keys whose cells lie inside the box — the classic
-/// BIGMIN/LITMAX z-order range splitting (Tropf & Herzog, 1981),
-/// generalised to any *hierarchical* curve:
+/// consecutive lattice RANKS whose cells lie inside the box — rank = the
+/// cell's position in the curve-key order of the nx*ny*nz lattice, i.e.
+/// the order MemGrid lays its storage regions out (and shards them) in.
+/// This is the classic BIGMIN/LITMAX z-order range splitting (Tropf &
+/// Herzog, 1981), generalised to any *hierarchical* curve:
 ///
 ///   Both curve codecs refine the 2^bits cube into octants recursively, so
 ///   the cells whose keys share a 3*l-bit prefix form an axis-aligned
@@ -118,7 +90,7 @@ using CellVec = std::array<std::uint32_t, 3>;
 ///     * block disjoint from the box  -> skip it (the skipped keys are
 ///       exactly a (LITMAX, BIGMIN) gap, so it closes the current run);
 ///     * block contained in the box   -> its whole key interval extends
-///       the current run (8^l keys appended in O(1));
+///       the current run (8^l cells appended in O(1));
 ///     * block straddling the box     -> descend into its 8 children in
 ///       key order.
 ///   For Morton the child visit order is the octant bit pattern itself
@@ -127,74 +99,43 @@ using CellVec = std::array<std::uint32_t, 3>;
 ///   an orientation STATE: one table lookup per octant yields its lattice
 ///   position and the child's state, making every block O(1) — no codec
 ///   evaluation anywhere in the recursion. The state table is not
-///   hard-coded: it is derived from the codec at first use and verified
-///   key-for-key against HilbertDecodeCell (see BuildHilbertMachine in
-///   cell_layout.cc), so the decomposition cannot drift from the layout
-///   the grid was actually built with.
+///   hard-coded: it is derived from the codec at first use (see
+///   BuildHilbertMachine in cell_layout.cc), and curve_runs_test expands
+///   it against HilbertDecodeCell cell by cell.
+///
+///   Instead of key intervals the walk tracks the RUNNING COUNT of lattice
+///   cells passed in key order: a pruned block adds its lattice overlap
+///   (an O(1) per-axis clamp — no descent), an emitted block adds its full
+///   8^l cells (a contained block of an in-lattice box is in-lattice), and
+///   the cursor value at emission IS the run's first rank. No codec
+///   evaluation and no rank-map lookups, and runs separated only by
+///   out-of-lattice keys fuse automatically.
 ///
 /// The runs are sorted ascending, pairwise disjoint, non-empty, and
-/// maximal: the key just past each run decodes to a cube cell outside the
-/// box. Their union is exactly the key set of the box's cells. Under
-/// kMorton/kHilbert the keys live in the full [0, 8^bits) cube, so two
-/// runs separated only by keys OUTSIDE the nx*ny*nz lattice are still
-/// reported apart — lattice-rank adjacency is the caller's to fuse (MemGrid
-/// does, after mapping each run to its rank interval). Under kRowMajor the
-/// key is the row-major cell index over `dims` (`bits` unused) and the
-/// runs are whole z-columns, fused across columns/planes where adjacent.
+/// maximal in rank space: the rank just past each run belongs to a lattice
+/// cell outside the box. Their union is exactly the rank set of the box's
+/// cells. On a power-of-two cube (dims == 2^bits on every axis) rank ==
+/// curve key. Under kRowMajor rank is the row-major cell index over `dims`
+/// (`bits` unused) and the runs are whole z-columns, fused across
+/// columns/planes where adjacent.
 ///
-/// `lo`/`hi` must satisfy lo[a] <= hi[a] and hi[a] < 2^bits (curve
-/// layouts) resp. hi[a] < dims[a] (kRowMajor). `*out` is cleared first.
-void CurveRangeRuns(CellLayout layout, const CellVec& lo, const CellVec& hi,
-                    const CellVec& dims, int bits,
-                    std::vector<CurveRun>* out);
-
-/// The decomposition MemGrid's query hot path actually consumes: the same
-/// maximal runs, but in lattice-RANK space — rank = the cell's position in
-/// the key-sorted order of the nx*ny*nz lattice, i.e. the order storage
-/// regions are laid out (and sharded) in. The walk is identical to
-/// CurveRangeRuns', except that instead of key intervals it tracks the
-/// RUNNING COUNT of lattice cells passed in key order: a pruned block adds
-/// its lattice overlap (an O(1) per-axis clamp — no descent), an emitted
-/// block adds its full 8^l cells (a contained block of an in-lattice box
-/// is in-lattice), and the cursor value at emission IS the run's first
-/// rank. No codec evaluation, no rank-map lookups (the per-run scattered
-/// map reads would cost a DRAM miss each on big grids — measurably the
-/// dominant cost of consuming key runs), and runs separated only by
-/// out-of-lattice keys fuse here automatically, so the output is maximal
-/// in rank space. `hi[a] < dims[a]` is required (the box must lie inside
-/// the lattice). Returns false — leaving *out empty — when the layout's
-/// key-order walk is unavailable (the Hilbert state-machine derivation
-/// failed its codec self-check); callers then fall back to a sorted
-/// rank gather.
-bool CurveRangeRankRuns(CellLayout layout, const CellVec& lo,
+/// `lo`/`hi` must satisfy lo[a] <= hi[a] < dims[a], and dims[a] <= 2^bits
+/// on the curve layouts. `*out` is cleared first.
+void CurveRangeRankRuns(CellLayout layout, const CellVec& lo,
                         const CellVec& hi, const CellVec& dims, int bits,
                         std::vector<CurveRun>* out);
 
-/// First rank of the decomposition CurveRangeRankRuns would emit for the
-/// box — the BIGMIN first-interval begin in rank space. Computed by the
-/// same orthant walk with an early exit at the first in-box block, so the
-/// cost is one root-to-leaf descent plus the pruned blocks before it
-/// (O(bits) for typical probes) rather than the full decomposition. The
-/// batch query engine uses it as each probe's schedule anchor: sorting
-/// probes by this rank visits them in the order a single sweep of the
-/// layout would first touch them. Same preconditions as
-/// CurveRangeRankRuns; returns false (leaving *rank untouched) when the
-/// layout's key-order walk is unavailable — callers then fall back to an
-/// approximate anchor (e.g. the min-corner cell's rank).
-bool CurveRangeFirstRank(CellLayout layout, const CellVec& lo,
-                         const CellVec& hi, const CellVec& dims, int bits,
-                         std::uint64_t* rank);
-
-/// The cell CurveRangeFirstRank's rank belongs to: the first in-box cell
-/// in curve-key order. Unlike the rank variant this walk only prunes —
-/// no lattice-overlap accounting on skipped blocks — so it is markedly
-/// cheaper for probes deep in the key order; callers that hold a
-/// cell -> rank table (MemGrid's rank_of_cell_) recover the identical
-/// anchor rank with one table read. Requires a non-empty box; `dims` is
-/// not needed because no rank is computed. Returns false (leaving *cell
-/// untouched) when the layout's key-order walk is unavailable.
-bool CurveRangeFirstCell(CellLayout layout, const CellVec& lo,
-                         const CellVec& hi, int bits, CellVec* cell);
+/// The first in-box cell in curve-key order — the cell that owns the first
+/// rank CurveRangeRankRuns emits for the box. The walk only prunes (no
+/// lattice-overlap accounting on skipped blocks), so it costs about one
+/// root-to-leaf descent for typical probes; callers that hold a
+/// cell -> rank table (MemGrid's rank_of_cell_) recover the anchor rank
+/// with one table read. The batch query engine uses that rank as each
+/// probe's schedule anchor: sorting probes by it visits them in the order
+/// a single sweep of the layout would first touch them. Requires a
+/// non-empty box; `dims` is not needed because no rank is computed.
+CellVec CurveRangeFirstCell(CellLayout layout, const CellVec& lo,
+                            const CellVec& hi, int bits);
 
 }  // namespace simspatial::core
 

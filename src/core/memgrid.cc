@@ -46,10 +46,15 @@ constexpr std::size_t kParallelGrain = 1024;
 /// would allocate more than ~64 MB across workers.
 constexpr std::size_t kMaxCountSlots = std::size_t{1} << 24;
 /// Probe boxes below this many cells take the zero-bookkeeping
-/// coordinate-order scan; only larger probes pay for a maximal-fusion
-/// traversal (radix-sorted rank gather or the BIGMIN run decomposition —
-/// the run-count a big probe produces is what either one amortises).
-constexpr std::size_t kRankSortMinCells = 64;
+/// coordinate-order scan; only larger probes on the curve layouts pay for
+/// the BIGMIN run decomposition (the run count a big probe produces is
+/// what the walk amortises).
+constexpr std::size_t kCurveRunsMinCells = 64;
+/// Probes per worker chunk in the batch query engine (RangeQueryBatch /
+/// RangeQueryCountBatch / KnnQueryBatch). A probe is a whole query —
+/// microseconds of work — so chunks far below the element-kernel grain
+/// still amortise the pool dispatch. Batch results do not depend on it.
+constexpr std::size_t kBatchProbeGrain = 8;
 /// The 13 lexicographically-forward neighbour offsets of the §4.3 sweep.
 constexpr int kForward[13][3] = {
     {1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},   {1, -1, 0},
@@ -66,28 +71,30 @@ struct PairPredicate {
   }
 };
 
-/// LSD radix sort of `*a` by the 8-bit digits of (v >> base_shift), running
-/// exactly as many passes as `bound` — the maximum possible value of
-/// v >> base_shift — occupies. Comparison-sorting curve keys/ranks costs
-/// more in branch misses than the counting passes; both rank-sort call
-/// sites (BuildCurveRanks, RangeQuery) share this. The sorted data ends in
-/// `*a`; `*scratch` is resized to match.
-/// Per-thread query scratch, hoisted out of the RangeScan template: its
-/// two Sink instantiations (RangeQuery, RangeQueryCount) would otherwise
-/// each get their own thread_local copies, doubling the retained
-/// span-sized buffers per thread. RangeQuery is const and may serve
-/// concurrent readers, so per-instance scratch is off limits; per-thread
-/// reuse keeps the steady state allocation-free.
-struct RangeScanScratch {
-  std::vector<CurveRun> runs;
-  std::vector<std::uint32_t> ranks;
-  std::vector<std::uint32_t> radix_scratch;
-};
-RangeScanScratch& GetRangeScanScratch() {
-  static thread_local RangeScanScratch scratch;
-  return scratch;
+/// Lattice coordinates as the curve walks take them (callers pass
+/// in-lattice, hence non-negative, values).
+template <typename T>
+CellVec CellVecOf(T x, T y, T z) {
+  return CellVec{static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y),
+                 static_cast<std::uint32_t>(z)};
 }
 
+/// Per-thread run list for RangeScan, hoisted out of the template: its
+/// two Sink instantiations (RangeQuery, RangeQueryCount) would otherwise
+/// each get their own thread_local copy. RangeQuery is const and may serve
+/// concurrent readers, so per-instance scratch is off limits; per-thread
+/// reuse keeps the steady state allocation-free.
+std::vector<CurveRun>& RangeScanRuns() {
+  static thread_local std::vector<CurveRun> runs;
+  return runs;
+}
+
+/// LSD radix sort of `*a` by the 8-bit digits of (v >> base_shift), running
+/// exactly as many passes as `bound` — the maximum possible value of
+/// v >> base_shift — occupies. Comparison-sorting curve keys costs more in
+/// branch misses than the counting passes; BuildCurveRanks and the batch
+/// schedule share this. The sorted data ends in `*a`; `*scratch` is
+/// resized to match.
 template <typename T>
 void RadixSortDigits(std::vector<T>* a, std::vector<T>* scratch,
                      int base_shift, std::uint64_t bound) {
@@ -259,9 +266,8 @@ MemGrid::CellRef MemGrid::ResolveCell(std::size_t cell) {
 void MemGrid::CellCoords(const Vec3& p, std::int32_t* x, std::int32_t* y,
                          std::int32_t* z) const {
   const auto clamp_axis = [&](float v, float lo, std::size_t n) {
-    const auto c = static_cast<std::int64_t>((v - lo) * inv_cell_);
-    return static_cast<std::int32_t>(
-        std::clamp<std::int64_t>(c, 0, static_cast<std::int64_t>(n) - 1));
+    return ClampedCellCoord((v - lo) * inv_cell_, 0,
+                            static_cast<std::int32_t>(n) - 1);
   };
   *x = clamp_axis(p.x, universe_.min.x, nx_);
   *y = clamp_axis(p.y, universe_.min.y, ny_);
@@ -1059,24 +1065,19 @@ void MemGrid::RangeScan(const AABB& range, const Sink& sink,
   // boundaries (and a mid-compaction fresh/old split) break a run and the
   // scan falls back to per-cell granularity there — the emission ORDER
   // stays the rank order regardless, which is what keeps results
-  // bit-identical across shard counts, compaction states AND the two
-  // large-probe traversals below.
+  // bit-identical across shard counts and compaction states.
   //
-  // Three iteration orders produce those runs:
+  // Two iteration orders produce those runs:
   //   * coordinate order — zero bookkeeping. Under kRowMajor cell index
   //     order IS rank order, so fusion is maximal; under the curve
   //     layouts fusion is opportunistic (the curve's locality still makes
   //     many coordinate-adjacent probe cells rank-adjacent). Small probes
   //     (the common monitoring query) always take this path.
-  //   * rank-sorted order (RangeDecomp::kSort) — gather the probed cells'
-  //     ranks and radix-sort, so fusion is maximal for ANY layout, at
-  //     O(cells) scratch plus the sort passes per query.
-  //   * curve-range decomposition (RangeDecomp::kRuns, the default) — the
-  //     BIGMIN recursion in CurveRangeRankRuns enumerates the maximal
+  //   * curve-range decomposition (large probes on the curve layouts) —
+  //     the BIGMIN recursion in CurveRangeRankRuns enumerates the maximal
   //     RANK runs straight from the curve's orthant walk, in ascending
-  //     order. Same rank sequence as the sort — bit-identical emission —
-  //     with no per-query sort, no O(cells) gather, and no rank-map
-  //     lookups outside the per-rank region walk both paths share.
+  //     order, with no per-query sort, no O(cells) gather and no rank-map
+  //     lookups outside the per-rank region walk.
   const bool single = shards_.size() == 1 && !shards_[0].compacting;
   const Entry* const single_base = shards_[0].block.data();
   constexpr std::size_t kNoRank = ~std::size_t{0};
@@ -1115,7 +1116,7 @@ void MemGrid::RangeScan(const AABB& range, const Sink& sink,
   const std::size_t span_cells = static_cast<std::size_t>(x1 - x0 + 1) *
                                  static_cast<std::size_t>(y1 - y0 + 1) *
                                  static_cast<std::size_t>(z1 - z0 + 1);
-  if (cell_of_rank_.empty() || span_cells < kRankSortMinCells) {
+  if (cell_of_rank_.empty() || span_cells < kCurveRunsMinCells) {
     for (std::int32_t x = x0; x <= x1; ++x) {
       for (std::int32_t y = y0; y <= y1; ++y) {
         const std::size_t base = CellIndex(x, y, z0);
@@ -1125,46 +1126,14 @@ void MemGrid::RangeScan(const AABB& range, const Sink& sink,
       }
     }
   } else {
-    bool decomposed = false;
-    if (config_.decomp == RangeDecomp::kRuns) {
-      std::vector<CurveRun>& runs = GetRangeScanScratch().runs;
-      const CellVec lo{static_cast<std::uint32_t>(x0),
-                       static_cast<std::uint32_t>(y0),
-                       static_cast<std::uint32_t>(z0)};
-      const CellVec hi{static_cast<std::uint32_t>(x1),
-                       static_cast<std::uint32_t>(y1),
-                       static_cast<std::uint32_t>(z1)};
-      const CellVec dims{static_cast<std::uint32_t>(nx_),
-                         static_cast<std::uint32_t>(ny_),
-                         static_cast<std::uint32_t>(nz_)};
-      if (CurveRangeRankRuns(config_.layout, lo, hi, dims, curve_bits_,
-                             &runs)) {
-        decomposed = true;
-        for (const CurveRun& rr : runs) {
-          for (std::size_t rank = rr.begin; rank < rr.end; ++rank) {
-            fuse_cell(cell_of_rank_[rank], rank);
-          }
-        }
+    std::vector<CurveRun>& runs = RangeScanRuns();
+    CurveRangeRankRuns(config_.layout, CellVecOf(x0, y0, z0),
+                       CellVecOf(x1, y1, z1), CellVecOf(nx_, ny_, nz_),
+                       curve_bits_, &runs);
+    for (const CurveRun& rr : runs) {
+      for (std::size_t rank = rr.begin; rank < rr.end; ++rank) {
+        fuse_cell(cell_of_rank_[rank], rank);
       }
-    }
-    if (!decomposed) {
-      std::vector<std::uint32_t>& ranks = GetRangeScanScratch().ranks;
-      std::vector<std::uint32_t>& radix_scratch =
-          GetRangeScanScratch().radix_scratch;
-      ranks.clear();
-      ranks.reserve(span_cells);
-      for (std::int32_t x = x0; x <= x1; ++x) {
-        for (std::int32_t y = y0; y <= y1; ++y) {
-          const std::size_t base = CellIndex(x, y, z0);
-          for (std::int32_t z = z0; z <= z1; ++z) {
-            ranks.push_back(static_cast<std::uint32_t>(
-                CellRank(base + static_cast<std::size_t>(z - z0))));
-          }
-        }
-      }
-      RadixSortDigits(&ranks, &radix_scratch, /*base_shift=*/0,
-                      /*bound=*/regions_.size() - 1);
-      for (const std::uint32_t rank : ranks) fuse_cell(RankCell(rank), rank);
     }
   }
   scan_run(run_base, run_begin, run_len);
@@ -1413,26 +1382,18 @@ std::size_t MemGrid::RangeAnchorRank(const AABB& range) const {
   CellCoords(probe.min, &x0, &y0, &z0);
   CellCoords(probe.max, &x1, &y1, &z1);
   if (x1 < x0 || y1 < y0 || z1 < z0) return 0;
-  const std::size_t corner = CellIndex(x0, y0, z0);
-  if (cell_of_rank_.empty()) return corner;  // kRowMajor: rank IS index.
-  const CellVec lo{static_cast<std::uint32_t>(x0),
-                   static_cast<std::uint32_t>(y0),
-                   static_cast<std::uint32_t>(z0)};
-  const CellVec hi{static_cast<std::uint32_t>(x1),
-                   static_cast<std::uint32_t>(y1),
-                   static_cast<std::uint32_t>(z1)};
-  // The pruning-only first-CELL walk plus one rank_of_cell_ read is the
-  // same rank CurveRangeFirstRank computes (rank is monotone in key over
+  if (cell_of_rank_.empty()) return CellIndex(x0, y0, z0);  // Rank IS index.
+  // The pruning-only first-CELL walk plus one rank_of_cell_ read gives the
+  // first rank CurveRangeRankRuns would emit (rank is monotone in key over
   // lattice cells, and the box is clamped in-lattice) without the
   // per-pruned-block lattice-overlap accounting — the anchor has to be
   // far cheaper than the probe it schedules.
-  CellVec cell;
-  if (CurveRangeFirstCell(config_.layout, lo, hi, curve_bits_, &cell)) {
-    return rank_of_cell_[CellIndex(static_cast<std::int32_t>(cell[0]),
-                                   static_cast<std::int32_t>(cell[1]),
-                                   static_cast<std::int32_t>(cell[2]))];
-  }
-  return rank_of_cell_[corner];
+  const CellVec cell = CurveRangeFirstCell(
+      config_.layout, CellVecOf(x0, y0, z0), CellVecOf(x1, y1, z1),
+      curve_bits_);
+  return rank_of_cell_[CellIndex(static_cast<std::int32_t>(cell[0]),
+                                 static_cast<std::int32_t>(cell[1]),
+                                 static_cast<std::int32_t>(cell[2]))];
 }
 
 void MemGrid::RangeQueryBatch(std::span<const AABB> probes,
@@ -1449,7 +1410,7 @@ void MemGrid::RangeQueryBatch(std::span<const AABB> probes,
   const auto order = RankOrderedSchedule(
       probes.size(), regions_.size() - 1,
       [&](std::size_t i) { return RangeAnchorRank(probes[i]); });
-  ServeRankScheduled(probes, order, threads_, config_.batch_probe_grain,
+  ServeRankScheduled(probes, order, threads_, kBatchProbeGrain,
                      out, &c,
                      [&](std::size_t p, std::vector<ElementId>* slot,
                          QueryCounters* delta) {
@@ -1469,7 +1430,7 @@ std::size_t MemGrid::RangeQueryCountBatch(std::span<const AABB> probes,
   const auto order = RankOrderedSchedule(
       probes.size(), regions_.size() - 1,
       [&](std::size_t i) { return RangeAnchorRank(probes[i]); });
-  ServeRankScheduled(probes, order, threads_, config_.batch_probe_grain,
+  ServeRankScheduled(probes, order, threads_, kBatchProbeGrain,
                      counts, &c,
                      [&](std::size_t p, std::size_t* slot,
                          QueryCounters* delta) {
@@ -1493,7 +1454,7 @@ void MemGrid::KnnQueryBatch(std::span<const Vec3> points, std::size_t k,
   const auto order = RankOrderedSchedule(
       points.size(), regions_.size() - 1,
       [&](std::size_t i) { return CellRank(CellOf(points[i])); });
-  ServeRankScheduled(points, order, threads_, config_.batch_probe_grain,
+  ServeRankScheduled(points, order, threads_, kBatchProbeGrain,
                      out, &c,
                      [&](std::size_t p, std::vector<ElementId>* slot,
                          QueryCounters* delta) {
@@ -1661,14 +1622,14 @@ void MemGrid::SweepRanks(std::size_t rank_begin, std::size_t rank_end, int rx,
       // neighbourhood splits into the same-column cap {0}x{0}x[1,rz], the
       // same-plane strip {0}x[1,ry]x[-rz,rz] and the bulk box
       // [1,rx]x[-ry,ry]x[-rz,rz]. The two thin slices stay coordinate
-      // loops; under a curve layout with the run decomposition enabled,
-      // the bulk box — the dominant cost at widened reach — reuses
-      // CurveRangeRuns so its neighbour regions are probed in rank order
-      // (storage-sequential streams instead of a scatter per offset).
-      // Pair totals and counters are identical either way; only the
-      // emission ORDER inside the bulk box follows the rank order, which
-      // is thread- and shard-count invariant (the decomposition is a pure
-      // function of the probe box and the codec).
+      // loops; under a curve layout the bulk box — the dominant cost at
+      // widened reach — reuses CurveRangeRankRuns so its neighbour
+      // regions are probed in rank order (storage-sequential streams
+      // instead of a scatter per offset). Pair totals and counters match
+      // the coordinate loop; only the emission ORDER inside the bulk box
+      // follows the rank order, which is thread- and shard-count
+      // invariant (the decomposition is a pure function of the probe box
+      // and the codec).
       for (int dz = 1; dz <= rz; ++dz) visit(0, 0, dz);
       for (int dy = 1; dy <= ry; ++dy) {
         for (int dz = -rz; dz <= rz; ++dz) visit(0, dy, dz);
@@ -1690,23 +1651,11 @@ void MemGrid::SweepRanks(std::size_t rank_begin, std::size_t rank_end, int rx,
         const std::size_t box_cells =
             (bx1 - bx0 + 1) * (by1 - by0 + 1) * (bz1 - bz0 + 1);
         static thread_local std::vector<CurveRun> fwd_runs;
-        bool decomposed = false;
-        if (!cell_of_rank_.empty() &&
-            config_.decomp == RangeDecomp::kRuns &&
-            box_cells >= kRankSortMinCells) {
-          const CellVec lo{static_cast<std::uint32_t>(bx0),
-                           static_cast<std::uint32_t>(by0),
-                           static_cast<std::uint32_t>(bz0)};
-          const CellVec hi{static_cast<std::uint32_t>(bx1),
-                           static_cast<std::uint32_t>(by1),
-                           static_cast<std::uint32_t>(bz1)};
-          const CellVec dims{static_cast<std::uint32_t>(nx_),
-                             static_cast<std::uint32_t>(ny_),
-                             static_cast<std::uint32_t>(nz_)};
-          decomposed = CurveRangeRankRuns(config_.layout, lo, hi, dims,
-                                          curve_bits_, &fwd_runs);
-        }
-        if (decomposed) {
+        if (!cell_of_rank_.empty() && box_cells >= kCurveRunsMinCells) {
+          CurveRangeRankRuns(config_.layout, CellVecOf(bx0, by0, bz0),
+                             CellVecOf(bx1, by1, bz1),
+                             CellVecOf(nx_, ny_, nz_), curve_bits_,
+                             &fwd_runs);
           for (const CurveRun& rr : fwd_runs) {
             for (std::size_t r = rr.begin; r < rr.end; ++r) {
               const std::size_t other_cell = cell_of_rank_[r];

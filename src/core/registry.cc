@@ -332,11 +332,9 @@ class MemGridAdapter final : public SpatialIndex {
   };
   MemGridAdapter(std::string name, SlackProfile slack, CellLayout layout,
                  std::uint32_t shards, std::uint32_t compact,
-                 RangeDecomp decomp, const IndexOptions& options)
+                 const IndexOptions& options)
       : name_(std::move(name)), slack_(slack), layout_(layout),
-        shards_count_(shards), compact_(compact), decomp_(decomp),
-        threads_(options.threads),
-        batch_probe_grain_(options.batch_probe_grain) {}
+        shards_count_(shards), compact_(compact), threads_(options.threads) {}
   std::string_view name() const override { return name_; }
   void Build(std::span<const Element> elements, const AABB& u) override {
     MemGridConfig cfg;
@@ -347,8 +345,6 @@ class MemGridAdapter final : public SpatialIndex {
     cfg.layout = layout_;
     cfg.shards = shards_count_;
     cfg.compact_regions_per_batch = compact_;
-    cfg.decomp = decomp_;
-    cfg.batch_probe_grain = batch_probe_grain_;
     grid_ = std::make_unique<MemGrid>(u, cfg);
     grid_->Build(elements);
   }
@@ -399,9 +395,7 @@ class MemGridAdapter final : public SpatialIndex {
   CellLayout layout_;
   std::uint32_t shards_count_;
   std::uint32_t compact_;
-  RangeDecomp decomp_;
   std::uint32_t threads_;
-  std::uint32_t batch_probe_grain_;
   std::unique_ptr<MemGrid> grid_;
 };
 
@@ -497,27 +491,26 @@ const std::vector<RegistryEntry>& Registry() {
        [](const IndexOptions& o) {
          return std::make_unique<MemGridAdapter>(
              "memgrid", MemGridAdapter::SlackProfile{0, 0.0f}, o.layout,
-             o.shards, o.compact_regions_per_batch, o.decomp, o);
+             o.shards, o.compact_regions_per_batch, o);
        }},
       {"memgrid-padded",
        [](const IndexOptions& o) {
          return std::make_unique<MemGridAdapter>(
              "memgrid-padded", MemGridAdapter::SlackProfile{2, 0.25f},
-             o.layout, o.shards, o.compact_regions_per_batch, o.decomp, o);
+             o.layout, o.shards, o.compact_regions_per_batch, o);
        }},
       {"memgrid-morton",
        [](const IndexOptions& o) {
          return std::make_unique<MemGridAdapter>(
              "memgrid-morton", MemGridAdapter::SlackProfile{0, 0.0f},
-             CellLayout::kMorton, o.shards, o.compact_regions_per_batch,
-             o.decomp, o);
+             CellLayout::kMorton, o.shards, o.compact_regions_per_batch, o);
        }},
       {"memgrid-hilbert",
        [](const IndexOptions& o) {
          return std::make_unique<MemGridAdapter>(
              "memgrid-hilbert", MemGridAdapter::SlackProfile{0, 0.0f},
              CellLayout::kHilbert, o.shards, o.compact_regions_per_batch,
-             o.decomp, o);
+             o);
        }},
       {"memgrid-sharded",
        [](const IndexOptions& o) {
@@ -527,18 +520,7 @@ const std::vector<RegistryEntry>& Registry() {
          // tests.
          return std::make_unique<MemGridAdapter>(
              "memgrid-sharded", MemGridAdapter::SlackProfile{0, 0.0f},
-             o.layout, 5, 48, o.decomp, o);
-       }},
-      {"memgrid-sortscan",
-       [](const IndexOptions& o) {
-         // Pins the legacy radix-sorted rank gather on a curve layout (the
-         // only configuration where the decomposition and the sort
-         // actually diverge) so the kSort traversal keeps running through
-         // every differential battery now that kRuns is the default.
-         return std::make_unique<MemGridAdapter>(
-             "memgrid-sortscan", MemGridAdapter::SlackProfile{0, 0.0f},
-             CellLayout::kHilbert, o.shards, o.compact_regions_per_batch,
-             RangeDecomp::kSort, o);
+             o.layout, 5, 48, o);
        }},
       {"lsh",
        [](const IndexOptions&) { return std::make_unique<LshAdapter>(); }},

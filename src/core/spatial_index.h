@@ -147,16 +147,6 @@ struct IndexOptions {
   /// regions relocated per shard per ApplyUpdates batch (0 = off; churn is
   /// then reclaimed by per-shard re-layouts only).
   std::uint32_t compact_regions_per_batch = 0;
-  /// Large-probe traversal for the MemGrid profiles' curve layouts: kRuns
-  /// (default) enumerates the fused rank runs via the BIGMIN curve-range
-  /// decomposition, kSort keeps the legacy radix-sorted rank gather.
-  /// Results are bit-identical; the dedicated "memgrid-sortscan" profile
-  /// pins kSort so the legacy path stays covered by every battery.
-  RangeDecomp decomp = RangeDecomp::kRuns;
-  /// Probes per worker chunk for the MemGrid batch query engine — a pure
-  /// scheduling knob (batch results are bit-identical at every value);
-  /// the batteries sweep it to pin that.
-  std::uint32_t batch_probe_grain = 8;
 };
 
 /// Construct an index by registry name (see registry.cc). Returns nullptr

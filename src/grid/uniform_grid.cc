@@ -33,9 +33,8 @@ CellCoord UniformGrid::CoordOf(const Vec3& p) const { return ClampedCoord(p); }
 
 CellCoord UniformGrid::ClampedCoord(const Vec3& p) const {
   const auto clamp_axis = [&](float v, float lo, std::size_t n) {
-    const auto c = static_cast<std::int64_t>((v - lo) * inv_cell_size_);
-    return static_cast<std::int32_t>(
-        std::clamp<std::int64_t>(c, 0, static_cast<std::int64_t>(n) - 1));
+    return ClampedCellCoord((v - lo) * inv_cell_size_, 0,
+                            static_cast<std::int32_t>(n) - 1);
   };
   return CellCoord{clamp_axis(p.x, universe_.min.x, nx_),
                    clamp_axis(p.y, universe_.min.y, ny_),

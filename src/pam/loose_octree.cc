@@ -6,6 +6,13 @@
 
 namespace simspatial::pam {
 
+namespace {
+/// Saturation bound of a cell key coordinate: 2^20 cells beyond the
+/// universe on either side, far outside any level's 2^levels lattice yet
+/// small enough that key arithmetic cannot overflow.
+constexpr std::int32_t kMaxCellCoord = std::int32_t{1} << 20;
+}  // namespace
+
 LooseOctree::LooseOctree(const AABB& universe, LooseOctreeOptions options)
     : universe_(universe), options_(options) {
   const Vec3 ext = universe.Extent();
@@ -20,14 +27,16 @@ float LooseOctree::CellSize(std::uint32_t level) const {
 LooseOctree::CellKey LooseOctree::CellAt(std::uint32_t level,
                                          const Vec3& p) const {
   const float inv = 1.0f / CellSize(level);
-  // Floor (not clamp): centres slightly outside the universe keep working.
-  return CellKey{level,
-                 static_cast<std::int32_t>(
-                     std::floor((p.x - universe_.min.x) * inv)),
-                 static_cast<std::int32_t>(
-                     std::floor((p.y - universe_.min.y) * inv)),
-                 static_cast<std::int32_t>(
-                     std::floor((p.z - universe_.min.z) * inv))};
+  // Floor, clamped only far outside the universe: centres slightly outside
+  // keep their own cells, while huge or NaN coordinates (whose int cast
+  // would be undefined) saturate. Element and probe keys share this rule,
+  // so a saturated element is still found by a probe that saturates too.
+  const auto axis = [&](float v, float lo) {
+    return ClampedCellCoord(std::floor((v - lo) * inv), -kMaxCellCoord,
+                            kMaxCellCoord);
+  };
+  return CellKey{level, axis(p.x, universe_.min.x),
+                 axis(p.y, universe_.min.y), axis(p.z, universe_.min.z)};
 }
 
 LooseOctree::CellKey LooseOctree::CellFor(const AABB& box) const {
@@ -109,6 +118,9 @@ void LooseOctree::RangeQuery(const AABB& range, std::vector<ElementId>* out,
     const float half = CellSize(level) * 0.5f;
     const CellKey lo = CellAt(level, range.min - Vec3(half, half, half));
     const CellKey hi = CellAt(level, range.max + Vec3(half, half, half));
+    // An inverted span probes no cell (and must not feed a negative span
+    // into the structure_tests product below).
+    if (hi.x < lo.x || hi.y < lo.y || hi.z < lo.z) continue;
     for (std::int32_t x = lo.x; x <= hi.x; ++x) {
       for (std::int32_t y = lo.y; y <= hi.y; ++y) {
         for (std::int32_t z = lo.z; z <= hi.z; ++z) {

@@ -91,12 +91,7 @@ Simulation::Simulation(std::vector<Element> elements, const AABB& universe,
   if (config_.policy != MaintenancePolicy::kNoIndex) {
     index_ = core::MakeIndex(
         config_.index_name,
-        core::IndexOptions{
-            .threads = config_.index_threads,
-            .layout = config_.index_layout,
-            .shards = config_.index_shards,
-            .compact_regions_per_batch = config_.index_compact_regions,
-            .decomp = config_.index_decomp});
+        core::IndexOptions{.threads = config_.index_threads});
     assert(index_ != nullptr && "unknown index name");
     index_->Build(elements_, universe_);
     updates_.reserve(elements_.size());

@@ -98,24 +98,6 @@ struct SimulationConfig {
   /// Build / ApplyUpdates / SelfJoin; others ignore it. The synapse join
   /// (join::GridSelfJoin) runs on the same count.
   std::uint32_t index_threads = par::kThreadsAuto;
-  /// Cell-region storage order for the base MemGrid profiles
-  /// (core::IndexOptions::layout): kRowMajor | kMorton | kHilbert. Other
-  /// structures ignore it. Purely a performance knob — step results are
-  /// identical across layouts.
-  core::CellLayout index_layout = core::CellLayout::kRowMajor;
-  /// Entry-block shards for the MemGrid profiles
-  /// (core::IndexOptions::shards): bounds the worst-case maintenance stall
-  /// of a step at O(n/shards). Step results are identical at every value.
-  std::uint32_t index_shards = 1;
-  /// Incremental compaction budget for the MemGrid profiles
-  /// (core::IndexOptions::compact_regions_per_batch): regions reclaimed
-  /// per maintenance step; 0 leaves compaction to the re-layout triggers.
-  std::uint32_t index_compact_regions = 0;
-  /// Large-probe traversal for the MemGrid profiles' curve layouts
-  /// (core::IndexOptions::decomp): kRuns decomposes probes via the BIGMIN
-  /// curve recursion, kSort keeps the radix-sorted rank gather. Step
-  /// results are identical either way.
-  core::RangeDecomp index_decomp = core::RangeDecomp::kRuns;
   MaintenancePolicy policy = MaintenancePolicy::kIncrementalUpdate;
   /// Serve the per-step monitoring probes through the index's batch entry
   /// point (RangeQueryBatch) instead of one RangeQuery per probe. Purely a

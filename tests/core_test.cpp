@@ -395,16 +395,23 @@ TEST(MemGridTest, SelfJoinWidensReachWhenCellsAreTooSmall) {
   }
 }
 
-// Decomposition-vs-sort differential battery: RangeQuery / RangeQueryCount
-// must be BIT-IDENTICAL (ids, emission order, counters) between the BIGMIN
-// curve-range decomposition (RangeDecomp::kRuns) and the legacy
-// radix-sorted rank gather (kSort) across layouts x shards x threads, on a
-// pristine build, after relocation churn, and with an incremental
-// compaction pass caught mid-flight — plus the degenerate probes (empty /
-// inverted boxes, single cell, zero-volume planes, full universe, boxes
-// clipped at the universe faces). Runs under the "determinism" ctest label,
-// so it is also TSan workload.
-TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
+// Curve-layout range oracle: on the Morton and Hilbert layouts, across
+// shards x threads, on a pristine build, after relocation churn and with an
+// incremental compaction pass caught mid-flight, every probe of a list of
+// ordinary and degenerate boxes (empty / inverted, single cell, zero-volume
+// planes, full universe, boxes clipped at the universe faces) must
+//   * return exactly the brute-force id set (ScanRange);
+//   * emit in traversal order: large probes (the BIGMIN run walk) never go
+//     down in the curve key of each element's cell, small ones (the
+//     coordinate scan) never go down in its row-major cell index;
+//   * report the row-major grid's nodes_visited / element_tests /
+//     bytes_read — totals over the probed cells that no run fusion may
+//     change.
+// Runs under the "determinism" ctest label, so it is also TSan workload.
+TEST(MemGridTest, CurveLayoutRangeScanMatchesOracles) {
+  // Probe boxes from this many cells up take the curve-run walk (the
+  // coordinate scan below it; kCurveRunsMinCells in memgrid.cc).
+  constexpr std::size_t kRunWalkMinCells = 64;
   const auto elems =
       GenerateClusteredBoxes(6000, kUniverse, 8, 6.0f, 0.05f, 0.6f);
   Rng rng(95);
@@ -423,33 +430,67 @@ TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
   probes.push_back(AABB(Vec3(7, 7, 7), Vec3(3, 3, 3)));  // Fully inverted.
   probes.push_back(AABB());                              // Default empty.
 
-  const auto compare = [&](const MemGrid& runs_grid, const MemGrid& sort_grid,
-                           const std::vector<Element>& mirror,
-                           const char* when) {
+  const auto check = [&](const MemGrid& curve_grid, const MemGrid& row_grid,
+                         const std::vector<Element>& mirror,
+                         const char* when) {
+    const MemGridShape shape = curve_grid.Shape();
+    const float inv_cell = 1.0f / shape.cell_size;
+    const auto cell_coords = [&](const Vec3& p) {
+      return std::array<std::int32_t, 3>{
+          ClampedCellCoord((p.x - kUniverse.min.x) * inv_cell, 0,
+                           static_cast<std::int32_t>(shape.nx) - 1),
+          ClampedCellCoord((p.y - kUniverse.min.y) * inv_cell, 0,
+                           static_cast<std::int32_t>(shape.ny) - 1),
+          ClampedCellCoord((p.z - kUniverse.min.z) * inv_cell, 0,
+                           static_cast<std::int32_t>(shape.nz) - 1)};
+    };
+    // Both orders the scan may emit in, per element: its cell's curve key
+    // and its cell's row-major index.
+    std::vector<std::uint64_t> curve_key(mirror.size());
+    std::vector<std::uint64_t> row_index(mirror.size());
+    for (const Element& e : mirror) {
+      ASSERT_LT(e.id, mirror.size());
+      const auto c = cell_coords(e.box.Center());
+      const auto x = static_cast<std::uint32_t>(c[0]);
+      const auto y = static_cast<std::uint32_t>(c[1]);
+      const auto z = static_cast<std::uint32_t>(c[2]);
+      curve_key[e.id] = shape.layout == CellLayout::kMorton
+                            ? MortonEncodeCell(x, y, z)
+                            : HilbertEncodeCell(x, y, z, shape.curve_bits);
+      row_index[e.id] = (std::uint64_t{x} * shape.ny + y) * shape.nz + z;
+    }
     for (std::size_t p = 0; p < probes.size(); ++p) {
-      std::vector<ElementId> got_runs, got_sort;
-      QueryCounters c_runs, c_sort;
-      runs_grid.RangeQuery(probes[p], &got_runs, &c_runs);
-      sort_grid.RangeQuery(probes[p], &got_sort, &c_sort);
-      // Unsorted: the emission ORDER itself must match.
-      ASSERT_EQ(got_runs, got_sort) << when << " probe " << p;
-      ASSERT_EQ(c_runs.nodes_visited, c_sort.nodes_visited)
-          << when << " probe " << p;
-      ASSERT_EQ(c_runs.element_tests, c_sort.element_tests)
-          << when << " probe " << p;
-      ASSERT_EQ(c_runs.bytes_read, c_sort.bytes_read)
-          << when << " probe " << p;
-      ASSERT_EQ(Sorted(got_runs), Sorted(ScanRange(mirror, probes[p])))
-          << when << " probe " << p;
-      ASSERT_EQ(runs_grid.RangeQueryCount(probes[p]), got_runs.size())
-          << when << " probe " << p;
-      ASSERT_EQ(sort_grid.RangeQueryCount(probes[p]), got_sort.size())
-          << when << " probe " << p;
+      SCOPED_TRACE(::testing::Message() << when << " probe " << p);
+      std::vector<ElementId> got, row_got;
+      QueryCounters c_curve, c_row;
+      curve_grid.RangeQuery(probes[p], &got, &c_curve);
+      row_grid.RangeQuery(probes[p], &row_got, &c_row);
+      ASSERT_EQ(Sorted(got), ScanRange(mirror, probes[p]));
+      ASSERT_EQ(curve_grid.RangeQueryCount(probes[p]), got.size());
+      ASSERT_EQ(c_curve.nodes_visited, c_row.nodes_visited);
+      ASSERT_EQ(c_curve.element_tests, c_row.element_tests);
+      ASSERT_EQ(c_curve.bytes_read, c_row.bytes_read);
+
+      const AABB probe = probes[p].Inflated(shape.max_half_extent);
+      const auto lo = cell_coords(probe.min);
+      const auto hi = cell_coords(probe.max);
+      std::size_t span = 1;
+      for (int a = 0; a < 3; ++a) {
+        span *= hi[a] < lo[a]
+                    ? 0
+                    : static_cast<std::size_t>(hi[a] - lo[a] + 1);
+      }
+      const std::vector<std::uint64_t>& order =
+          span >= kRunWalkMinCells ? curve_key : row_index;
+      for (std::size_t i = 1; i < got.size(); ++i) {
+        ASSERT_LE(order[got[i - 1]], order[got[i]])
+            << (span >= kRunWalkMinCells ? "curve key" : "row-major index")
+            << " goes down at emission " << i;
+      }
     }
   };
 
-  for (const CellLayout layout :
-       {CellLayout::kRowMajor, CellLayout::kMorton, CellLayout::kHilbert}) {
+  for (const CellLayout layout : {CellLayout::kMorton, CellLayout::kHilbert}) {
     for (const std::uint32_t shards : {1u, 5u}) {
       for (const std::uint32_t threads : {0u, 2u}) {
         SCOPED_TRACE(::testing::Message()
@@ -457,24 +498,21 @@ TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
                      << " threads=" << threads);
         MemGridConfig cfg;
         cfg.cell_size = 3.0f;
-        cfg.layout = layout;
         cfg.shards = shards;
         cfg.threads = threads;
         cfg.compact_regions_per_batch = 2;  // Slow passes: easy to catch.
-        cfg.decomp = RangeDecomp::kRuns;
-        MemGrid runs_grid(kUniverse, cfg);
-        cfg.decomp = RangeDecomp::kSort;
-        MemGrid sort_grid(kUniverse, cfg);
+        MemGrid row_grid(kUniverse, cfg);
+        cfg.layout = layout;
+        MemGrid curve_grid(kUniverse, cfg);
         auto mirror = elems;
-        runs_grid.Build(mirror);
-        sort_grid.Build(mirror);
-        compare(runs_grid, sort_grid, mirror, "pristine");
+        curve_grid.Build(mirror);
+        row_grid.Build(mirror);
+        check(curve_grid, row_grid, mirror, "pristine");
 
-        // Drive identical churn into both grids until an incremental
-        // compaction pass is caught in flight (decomp does not touch the
-        // mutation paths, so the two storage states stay identical and
-        // the comparison above stays exact — now straddling the fresh/old
-        // block split).
+        // Drive identical churn into both grids, checking after every
+        // batch, until an incremental compaction pass is caught in flight
+        // on the curve grid (the check then straddles its fresh/old block
+        // split).
         Rng churn(96);
         std::vector<ElementUpdate> batch;
         bool caught_mid_pass = false;
@@ -487,30 +525,29 @@ TEST(MemGridTest, DecompositionMatchesSortBitIdentical) {
               batch.emplace_back(e.id, e.box);
             }
           }
-          ASSERT_EQ(runs_grid.ApplyUpdates(batch), batch.size());
-          ASSERT_EQ(sort_grid.ApplyUpdates(batch), batch.size());
-          caught_mid_pass = runs_grid.Shape().compacting_shards > 0;
+          ASSERT_EQ(curve_grid.ApplyUpdates(batch), batch.size());
+          ASSERT_EQ(row_grid.ApplyUpdates(batch), batch.size());
+          caught_mid_pass = curve_grid.Shape().compacting_shards > 0;
+          check(curve_grid, row_grid, mirror,
+                caught_mid_pass ? "mid-compaction" : "after churn");
         }
         // The churn above reliably leaves a pass in flight within a couple
         // of rounds; assert it so the mid-compaction coverage cannot
         // silently erode.
         ASSERT_TRUE(caught_mid_pass);
-        ASSERT_GT(sort_grid.Shape().compacting_shards, 0u);
-        compare(runs_grid, sort_grid, mirror, "mid-compaction");
         std::string err;
-        ASSERT_TRUE(runs_grid.CheckInvariants(&err)) << err;
-        ASSERT_TRUE(sort_grid.CheckInvariants(&err)) << err;
+        ASSERT_TRUE(curve_grid.CheckInvariants(&err)) << err;
       }
     }
   }
 }
 
-// SelfJoin's widened-reach sweep reuses the decomposition for the bulk
-// forward box on the curve layouts: pair SETS and comparison counts must
-// match the sort-mode sweep and brute force (emission order inside the
-// bulk box legitimately differs — rank order vs coordinate order — so the
-// comparison is on sorted pairs).
-TEST(MemGridTest, SelfJoinDecompositionMatchesSortOnWidenedReach) {
+// SelfJoin's widened-reach sweep walks the bulk forward box as curve-rank
+// runs on the curve layouts: pair sets must match brute force, and the
+// comparison count must match the row-major grid's coordinate loop
+// (emission order inside the bulk box legitimately differs — rank order
+// vs coordinate order — so the comparison is on sorted pairs).
+TEST(MemGridTest, SelfJoinWidenedReachMatchesBruteForceOnCurveLayouts) {
   Rng rng(97);
   std::vector<Element> elems;
   for (ElementId i = 0; i < 2500; ++i) {
@@ -518,30 +555,27 @@ TEST(MemGridTest, SelfJoinDecompositionMatchesSortOnWidenedReach) {
                               rng.PointIn(kUniverse),
                               rng.Uniform(0.5f, 3.0f)));
   }
-  for (const CellLayout layout :
-       {CellLayout::kRowMajor, CellLayout::kMorton, CellLayout::kHilbert}) {
-    MemGridConfig cfg;
-    cfg.cell_size = 2.0f;  // << 2*max_half_extent: the widened sweep runs.
+  MemGridConfig cfg;
+  cfg.cell_size = 2.0f;  // << 2*max_half_extent: the widened sweep runs.
+  MemGrid row_grid(kUniverse, cfg);
+  row_grid.Build(elems);
+  for (const CellLayout layout : {CellLayout::kMorton, CellLayout::kHilbert}) {
     cfg.layout = layout;
-    cfg.decomp = RangeDecomp::kRuns;
-    MemGrid runs_grid(kUniverse, cfg);
-    cfg.decomp = RangeDecomp::kSort;
-    MemGrid sort_grid(kUniverse, cfg);
-    runs_grid.Build(elems);
-    sort_grid.Build(elems);
+    MemGrid curve_grid(kUniverse, cfg);
+    curve_grid.Build(elems);
     for (const float eps : {0.0f, 0.8f}) {
-      std::vector<std::pair<ElementId, ElementId>> got_runs, got_sort;
-      QueryCounters c_runs, c_sort;
-      runs_grid.SelfJoin(eps, &got_runs, &c_runs);
-      sort_grid.SelfJoin(eps, &got_sort, &c_sort);
-      EXPECT_EQ(c_runs.element_tests, c_sort.element_tests)
+      std::vector<std::pair<ElementId, ElementId>> got, row_got;
+      QueryCounters c_curve, c_row;
+      curve_grid.SelfJoin(eps, &got, &c_curve);
+      row_grid.SelfJoin(eps, &row_got, &c_row);
+      EXPECT_EQ(c_curve.element_tests, c_row.element_tests)
           << ToString(layout) << " eps=" << eps;
-      SortPairs(&got_runs);
-      SortPairs(&got_sort);
-      ASSERT_EQ(got_runs, got_sort) << ToString(layout) << " eps=" << eps;
+      SortPairs(&got);
+      SortPairs(&row_got);
       auto want = NestedLoopSelfJoin(elems, eps);
       SortPairs(&want);
-      ASSERT_EQ(got_runs, want) << ToString(layout) << " eps=" << eps;
+      ASSERT_EQ(got, want) << ToString(layout) << " eps=" << eps;
+      ASSERT_EQ(row_got, want) << "rowmajor eps=" << eps;
     }
   }
 }
@@ -783,8 +817,8 @@ TEST(RegistryTest, SeededMixedWorkloadDifferentialFuzz) {
   const std::vector<std::string> profiles = {
       "memgrid",          "memgrid-padded",
       "memgrid-morton",   "memgrid-hilbert",
-      "memgrid-sharded",  "memgrid-sortscan",
-      "rtree",            "rtree-packed-str",
+      "memgrid-sharded",  "rtree",
+      "rtree-packed-str",
       "rtree-packed-hilbert", "linear-scan"};
   std::vector<std::unique_ptr<SpatialIndex>> indexes;
   for (const std::string& p : profiles) {

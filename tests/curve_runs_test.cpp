@@ -1,11 +1,12 @@
-// Property-based fuzz for CurveRangeRuns, the BIGMIN-style curve-range
-// decomposition: for random lattice boxes across bits 1..10 and all three
-// layouts, the emitted key runs must be sorted, pairwise disjoint,
-// non-empty, MAXIMAL (the key just past a run decodes to a cell outside
-// the box — adjacent runs cannot be fused), and their union must equal the
-// brute-force key set of the cells inside the box. This is the codec-level
-// ground truth the MemGrid decomposition-vs-sort differential battery
-// (core_test) builds on.
+// Property-based fuzz for CurveRangeRankRuns, the BIGMIN-style curve-range
+// decomposition, against brute force. On power-of-two cubes rank == curve
+// key, so for random lattice boxes across bits 1..10 and all three layouts
+// the emitted runs must be sorted, pairwise disjoint, non-empty, MAXIMAL
+// (the key just past a run decodes to a cell outside the box — adjacent
+// runs cannot be fused), and their union must equal the brute-force key
+// set of the cells inside the box. On clipped (non-power-of-two) lattices
+// the runs are checked against brute-force ranks, and the Hilbert walk's
+// state machine is expanded cell by cell against the codec.
 
 #include <gtest/gtest.h>
 
@@ -59,7 +60,9 @@ bool DecodesIntoBox(CellLayout layout, std::uint64_t key, const CellVec& lo,
          z <= hi[2];
 }
 
-/// Check every CurveRangeRuns contract for one (layout, box) instance.
+/// Check every decomposition contract for one (layout, box) instance on a
+/// lattice where rank == key: a power-of-two cube for the curve layouts,
+/// any dims for kRowMajor.
 void CheckDecomposition(CellLayout layout, const CellVec& lo,
                         const CellVec& hi, const CellVec& dims, int bits) {
   SCOPED_TRACE(::testing::Message()
@@ -68,7 +71,7 @@ void CheckDecomposition(CellLayout layout, const CellVec& lo,
                << hi[1] << "," << hi[2] << "] dims=" << dims[0] << "x"
                << dims[1] << "x" << dims[2]);
   std::vector<CurveRun> runs;
-  CurveRangeRuns(layout, lo, hi, dims, bits, &runs);
+  CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs);
 
   // Sorted, disjoint, non-empty; adjacent runs separated by >= 1 key.
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -98,13 +101,10 @@ void CheckDecomposition(CellLayout layout, const CellVec& lo,
 
   // Maximality: the key just past each run (and just before it) belongs to
   // a cell OUTSIDE the box, otherwise the run could have been extended.
-  // (Union-exactness above already implies it for in-lattice keys; this
-  // pins the boundary cells explicitly, including the out-of-lattice gap
-  // keys of the curve layouts.)
+  // (Union-exactness above already implies it; this pins the boundary
+  // cells explicitly.)
   const std::uint64_t universe_keys =
-      layout == CellLayout::kRowMajor
-          ? std::uint64_t{dims[0]} * dims[1] * dims[2]
-          : std::uint64_t{1} << (3 * bits);
+      std::uint64_t{dims[0]} * dims[1] * dims[2];
   for (const CurveRun& r : runs) {
     if (r.end < universe_keys) {
       EXPECT_FALSE(DecodesIntoBox(layout, r.end, lo, hi, dims, bits))
@@ -125,8 +125,8 @@ TEST(CurveRunsTest, FullUniverseIsOneRun) {
       const auto n = static_cast<std::uint32_t>(1u << bits);
       const CellVec dims{n, n, n};
       std::vector<CurveRun> runs;
-      CurveRangeRuns(layout, CellVec{0, 0, 0}, CellVec{n - 1, n - 1, n - 1},
-                     dims, bits, &runs);
+      CurveRangeRankRuns(layout, CellVec{0, 0, 0},
+                         CellVec{n - 1, n - 1, n - 1}, dims, bits, &runs);
       ASSERT_EQ(runs.size(), 1u) << ToString(layout) << " bits=" << bits;
       EXPECT_EQ(runs[0].begin, 0u);
       EXPECT_EQ(runs[0].end, std::uint64_t{n} * n * n);
@@ -199,9 +199,8 @@ TEST(CurveRunsTest, BoxesClippedAtUniverseFaces) {
 }
 
 TEST(CurveRunsTest, RowMajorNonPowerOfTwoDims) {
-  // kRowMajor keys are row-major indices over arbitrary dims (the curve
-  // layouts always see a power-of-two cube; rowmajor sees the real
-  // lattice) — z-columns must fuse across y/x exactly when key-adjacent.
+  // kRowMajor ranks are row-major indices over arbitrary dims — z-columns
+  // must fuse across y/x exactly when adjacent.
   Rng rng(314);
   for (int i = 0; i < 40; ++i) {
     const CellVec dims{1 + Below(rng, 11), 1 + Below(rng, 11),
@@ -217,8 +216,8 @@ TEST(CurveRunsTest, RowMajorNonPowerOfTwoDims) {
   // stretch — the whole box when it spans full y depth as well.
   std::vector<CurveRun> runs;
   const CellVec dims{5, 7, 3};
-  CurveRangeRuns(CellLayout::kRowMajor, CellVec{1, 0, 0}, CellVec{3, 6, 2},
-                 dims, 0, &runs);
+  CurveRangeRankRuns(CellLayout::kRowMajor, CellVec{1, 0, 0},
+                     CellVec{3, 6, 2}, dims, 0, &runs);
   ASSERT_EQ(runs.size(), 1u);  // y and z both full: x-contiguous fuses too.
   EXPECT_EQ(runs[0].begin, 1u * 7 * 3);
   EXPECT_EQ(runs[0].end, 4u * 7 * 3);
@@ -253,8 +252,8 @@ std::vector<std::uint64_t> BruteForceRankSet(CellLayout layout,
   return ranks;
 }
 
-// The rank-space variant MemGrid's hot path consumes: sorted, disjoint,
-// non-empty, maximal IN RANK SPACE (adjacent runs separated by at least
+// Clipped lattices, where rank != key: sorted, disjoint, non-empty,
+// maximal IN RANK SPACE (adjacent runs separated by at least
 // one in-lattice cell outside the box — runs split only by out-of-lattice
 // keys must have been fused), and the union must equal the brute-force
 // rank set of the box's cells. Non-power-of-two dims are the interesting
@@ -284,7 +283,7 @@ TEST(CurveRunsTest, RankRunsMatchBruteForceRanks) {
                      << "]..[" << hi[0] << "," << hi[1] << "," << hi[2]
                      << "]");
         std::vector<CurveRun> runs;
-        ASSERT_TRUE(CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs));
+        CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs);
         std::vector<std::uint64_t> got;
         for (std::size_t r = 0; r < runs.size(); ++r) {
           ASSERT_LT(runs[r].begin, runs[r].end) << "empty run " << r;
@@ -303,12 +302,11 @@ TEST(CurveRunsTest, RankRunsMatchBruteForceRanks) {
   }
 }
 
-// The two anchor APIs the batch scheduler leans on must agree with the
-// full decomposition: CurveRangeFirstRank is the first run's begin, and
-// CurveRangeFirstCell names the cell that owns that rank (checked by
-// decomposing the single-cell box [cell, cell], whose one run's begin is
-// by definition the cell's rank).
-TEST(CurveRunsTest, FirstRankAndFirstCellAgreeWithRankRuns) {
+// The batch scheduler's anchor must agree with the full decomposition:
+// CurveRangeFirstCell names the cell that owns the first run's begin
+// (checked by decomposing the single-cell box [cell, cell], whose one
+// run's begin is by definition the cell's rank).
+TEST(CurveRunsTest, FirstCellOwnsFirstRunBegin) {
   Rng rng(808);
   for (const CellLayout layout : kLayouts) {
     for (int bits = 1; bits <= 6; ++bits) {
@@ -330,25 +328,39 @@ TEST(CurveRunsTest, FirstRankAndFirstCellAgreeWithRankRuns) {
                      << "]..[" << hi[0] << "," << hi[1] << "," << hi[2]
                      << "]");
         std::vector<CurveRun> runs;
-        ASSERT_TRUE(CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs));
+        CurveRangeRankRuns(layout, lo, hi, dims, bits, &runs);
         ASSERT_FALSE(runs.empty());
-        std::uint64_t rank = ~std::uint64_t{0};
-        ASSERT_TRUE(
-            CurveRangeFirstRank(layout, lo, hi, dims, bits, &rank));
-        EXPECT_EQ(rank, runs[0].begin);
-        CellVec cell{~0u, ~0u, ~0u};
-        ASSERT_TRUE(CurveRangeFirstCell(layout, lo, hi, bits, &cell));
+        const CellVec cell = CurveRangeFirstCell(layout, lo, hi, bits);
         for (int a = 0; a < 3; ++a) {
           ASSERT_GE(cell[a], lo[a]) << "axis " << a;
           ASSERT_LE(cell[a], hi[a]) << "axis " << a;
         }
         std::vector<CurveRun> one;
-        ASSERT_TRUE(
-            CurveRangeRankRuns(layout, cell, cell, dims, bits, &one));
+        CurveRangeRankRuns(layout, cell, cell, dims, bits, &one);
         ASSERT_EQ(one.size(), 1u);
         EXPECT_EQ(one[0].begin, runs[0].begin)
             << "first cell's rank is not the first run's begin";
       }
+    }
+  }
+}
+
+// The Hilbert walk runs on a state machine derived from the codec at first
+// use. Expand it over the full cube at bits 3 and 4: on a cube rank ==
+// key, so the single-cell box of the cell HilbertDecodeCell places at key
+// k must decompose to exactly [k, k + 1).
+TEST(CurveRunsTest, HilbertWalkMatchesCodecCellByCell) {
+  for (const int bits : {3, 4}) {
+    const std::uint32_t n = 1u << bits;
+    const CellVec dims{n, n, n};
+    std::vector<CurveRun> runs;
+    for (std::uint64_t key = 0; key < std::uint64_t{n} * n * n; ++key) {
+      CellVec cell;
+      HilbertDecodeCell(key, bits, &cell[0], &cell[1], &cell[2]);
+      CurveRangeRankRuns(CellLayout::kHilbert, cell, cell, dims, bits, &runs);
+      ASSERT_EQ(runs.size(), 1u) << "bits=" << bits << " key=" << key;
+      ASSERT_EQ(runs[0].begin, key) << "bits=" << bits;
+      ASSERT_EQ(runs[0].end, key + 1) << "bits=" << bits;
     }
   }
 }
@@ -362,15 +374,24 @@ TEST(CurveRunsTest, RankRunsFuseAcrossOutOfLatticeKeys) {
   const CellVec hi{4, 5, 6};
   for (const CellLayout layout : kLayouts) {
     std::vector<CurveRun> runs;
-    ASSERT_TRUE(CurveRangeRankRuns(layout, lo, hi, dims, /*bits=*/3, &runs));
+    CurveRangeRankRuns(layout, lo, hi, dims, /*bits=*/3, &runs);
     ASSERT_EQ(runs.size(), 1u) << ToString(layout);
     EXPECT_EQ(runs[0].begin, 0u);
     EXPECT_EQ(runs[0].end, 5u * 6 * 7);
     if (layout != CellLayout::kRowMajor) {
-      CurveRangeRuns(layout, lo, hi, dims, /*bits=*/3, &runs);
-      EXPECT_GT(runs.size(), 1u)
+      // The lattice's keys really are fragmented: the largest one lies
+      // beyond the cell count.
+      std::uint64_t max_key = 0;
+      for (std::uint32_t x = 0; x < dims[0]; ++x) {
+        for (std::uint32_t y = 0; y < dims[1]; ++y) {
+          for (std::uint32_t z = 0; z < dims[2]; ++z) {
+            max_key = std::max(max_key, KeyOf(layout, x, y, z, dims, 3));
+          }
+        }
+      }
+      EXPECT_GE(max_key, 5u * 6 * 7)
           << ToString(layout)
-          << ": key runs unexpectedly contiguous on a clipped lattice";
+          << ": key set unexpectedly contiguous on a clipped lattice";
     }
   }
 }
@@ -381,8 +402,8 @@ TEST(CurveRunsTest, MortonRunsMatchBigminGroundTruth) {
   // keys [0,8) u [32,40) — precisely what one BIGMIN split at the z bit
   // yields.
   std::vector<CurveRun> runs;
-  CurveRangeRuns(CellLayout::kMorton, CellVec{0, 0, 0}, CellVec{1, 1, 3},
-                 CellVec{4, 4, 4}, /*bits=*/2, &runs);
+  CurveRangeRankRuns(CellLayout::kMorton, CellVec{0, 0, 0}, CellVec{1, 1, 3},
+                     CellVec{4, 4, 4}, /*bits=*/2, &runs);
   ASSERT_EQ(runs.size(), 2u);
   EXPECT_EQ(runs[0].begin, 0u);
   EXPECT_EQ(runs[0].end, 8u);
@@ -398,8 +419,8 @@ TEST(CurveRunsTest, HilbertRunCountBeatsCoordinateFragmentation) {
   const int bits = 6;
   const std::uint32_t n = 1u << bits;
   std::vector<CurveRun> runs;
-  CurveRangeRuns(CellLayout::kHilbert, CellVec{8, 8, 8},
-                 CellVec{23, 23, 23}, CellVec{n, n, n}, bits, &runs);
+  CurveRangeRankRuns(CellLayout::kHilbert, CellVec{8, 8, 8},
+                     CellVec{23, 23, 23}, CellVec{n, n, n}, bits, &runs);
   const std::size_t columns = 16 * 16;
   EXPECT_LT(runs.size(), columns / 2)
       << "Hilbert cube decomposition no longer beats column order";

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -111,6 +115,32 @@ TEST(AABBTest, InflatedAndTranslated) {
   const AABB t = b.Translated(Vec3(1, 0, -1));
   EXPECT_EQ(t.min, Vec3(2, 1, 0));
   EXPECT_EQ(t.max, Vec3(3, 2, 1));
+}
+
+// ClampedCellCoord must agree with "cast, then clamp" wherever that cast is
+// defined, and saturate (NaN to `lo`) where it is not.
+TEST(ClampedCellCoordTest, MatchesClampedCastAndSaturates) {
+  Rng rng(71);
+  for (int i = 0; i < 10000; ++i) {
+    const float t = rng.Uniform(-300.0f, 300.0f);
+    const auto cast = static_cast<std::int64_t>(t);
+    EXPECT_EQ(ClampedCellCoord(t, 0, 99),
+              std::clamp<std::int64_t>(cast, 0, 99))
+        << t;
+    EXPECT_EQ(ClampedCellCoord(t, -50, 50),
+              std::clamp<std::int64_t>(cast, -50, 50))
+        << t;
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  EXPECT_EQ(ClampedCellCoord(std::nanf(""), 0, 99), 0);
+  EXPECT_EQ(ClampedCellCoord(std::nanf(""), -7, 99), -7);
+  EXPECT_EQ(ClampedCellCoord(inf, 0, 99), 99);
+  EXPECT_EQ(ClampedCellCoord(-inf, 0, 99), 0);
+  EXPECT_EQ(ClampedCellCoord(big, -7, 99), 99);
+  EXPECT_EQ(ClampedCellCoord(-big, -7, 99), -7);
+  EXPECT_EQ(ClampedCellCoord(98.999f, 0, 99), 98);
+  EXPECT_EQ(ClampedCellCoord(-0.5f, 0, 99), 0);
 }
 
 TEST(SegmentDistanceTest, PointSegment) {

@@ -77,14 +77,12 @@ const std::uint32_t kShardCounts[] = {1, 2, 3, 8};
 MemGrid MakeGrid(const std::vector<Element>& elements, std::uint32_t threads,
                  float cell_size = 4.0f,
                  CellLayout layout = CellLayout::kRowMajor,
-                 std::uint32_t shards = 1, std::uint32_t compact = 0,
-                 RangeDecomp decomp = RangeDecomp::kRuns) {
+                 std::uint32_t shards = 1, std::uint32_t compact = 0) {
   MemGrid g(kUniverse, MemGridConfig{.cell_size = cell_size,
                                      .threads = threads,
                                      .layout = layout,
                                      .shards = shards,
-                                     .compact_regions_per_batch = compact,
-                                     .decomp = decomp});
+                                     .compact_regions_per_batch = compact});
   g.Build(elements);
   return g;
 }
@@ -854,13 +852,8 @@ TEST(BatchDeterminismTest, BatchIdenticalToPerProbeAcrossConfigs) {
   struct Config {
     std::uint32_t shards;
     std::uint32_t threads;
-    RangeDecomp decomp;
   };
-  const Config kConfigs[] = {
-      {1, 0, RangeDecomp::kRuns}, {1, 2, RangeDecomp::kRuns},
-      {1, 8, RangeDecomp::kSort}, {5, 0, RangeDecomp::kSort},
-      {5, 2, RangeDecomp::kRuns}, {5, 8, RangeDecomp::kRuns},
-  };
+  const Config kConfigs[] = {{1, 0}, {1, 2}, {1, 8}, {5, 0}, {5, 2}, {5, 8}};
   for (const NamedDataset& ds : BatteryDatasets()) {
     for (const CellLayout layout : kLayouts) {
       // Cross-grid reference: the serial single-block grid's batch output.
@@ -875,44 +868,13 @@ TEST(BatchDeterminismTest, BatchIdenticalToPerProbeAcrossConfigs) {
         const std::string label =
             std::string(ds.name) + " layout=" + ToString(layout) +
             " shards=" + std::to_string(c.shards) +
-            " t=" + std::to_string(c.threads) +
-            " decomp=" + ToString(c.decomp);
-        const MemGrid g = MakeGrid(ds.elements, c.threads, 4.0f, layout,
-                                   c.shards, 0, c.decomp);
+            " t=" + std::to_string(c.threads);
+        const MemGrid g =
+            MakeGrid(ds.elements, c.threads, 4.0f, layout, c.shards);
         ExpectBatchMatchesPerProbe(g, label);
         std::vector<std::vector<ElementId>> got_slots;
         g.RangeQueryBatch(BatchRangeProbes(), &got_slots);
         ASSERT_EQ(got_slots, ref_slots) << label << " vs reference grid";
-      }
-    }
-  }
-}
-
-TEST(BatchDeterminismTest, BatchIdenticalAcrossProbeGrains) {
-  // batch_probe_grain only reshapes the worker partitions of the rank
-  // schedule; every value must reproduce the default-grain (and per-probe)
-  // output bit for bit.
-  const auto elems = GenerateUniformBoxes(4096, kUniverse, 0.1f, 0.8f);
-  for (const CellLayout layout : kLayouts) {
-    const MemGrid reference = MakeGrid(elems, 0, 4.0f, layout);
-    std::vector<std::vector<ElementId>> ref_slots;
-    reference.RangeQueryBatch(BatchRangeProbes(), &ref_slots);
-    for (const std::uint32_t grain : {1u, 3u, 8u}) {
-      for (const std::uint32_t threads : {2u, 8u}) {
-        MemGrid g(kUniverse,
-                  MemGridConfig{.cell_size = 4.0f,
-                                .threads = threads,
-                                .layout = layout,
-                                .shards = 5,
-                                .batch_probe_grain = grain});
-        g.Build(elems);
-        const std::string label = std::string("layout=") + ToString(layout) +
-                                  " grain=" + std::to_string(grain) +
-                                  " t=" + std::to_string(threads);
-        ExpectBatchMatchesPerProbe(g, label);
-        std::vector<std::vector<ElementId>> got;
-        g.RangeQueryBatch(BatchRangeProbes(), &got);
-        ASSERT_EQ(got, ref_slots) << label << " vs reference grid";
       }
     }
   }
