@@ -41,6 +41,11 @@
 // So are baselines whose "decomp" field names a large-probe traversal
 // other than "runs": the BIGMIN run walk is the only one left, so such a
 // baseline timed code that no longer exists.
+//
+// A regression in the micro gate does not skip the serving gate: both
+// run, each prints a `trajectory(micro|serving): OK|REGRESSION|ERROR`
+// verdict, and the exit code is the worse of the two (0 OK, 1 regression,
+// 2 setup or coverage error).
 
 #include <algorithm>
 #include <cstdio>
@@ -384,6 +389,7 @@ int Main(int argc, char** argv) {
                 "gate; investigate if persistent)\n",
                 o.c_str(), 200.0 * max_regression);
   }
+  int micro_rc = 0;
   if (median_ratio > 1.0 + max_regression) {
     std::fprintf(stderr,
                  "trajectory: REGRESSION — median slowdown %.1f%% exceeds "
@@ -391,15 +397,25 @@ int Main(int argc, char** argv) {
                  "re-measure the baseline:\n  %s\nand commit it over %s\n",
                  100.0 * (median_ratio - 1.0), 100.0 * max_regression,
                  cmd.c_str(), baseline_path.c_str());
-    return 1;
+    micro_rc = 1;
   }
+  // A red micro gate must not hide the serving gate: both replay, both
+  // verdicts print, and the exit code is the worse of the two.
+  int serving_rc = 0;
   if (!serving_bench.empty()) {
-    const int rc = RunServingGate(serving_bench, serving_baseline,
-                                  serving_out, serving_reps, max_regression);
-    if (rc != 0) return rc;
+    serving_rc = RunServingGate(serving_bench, serving_baseline, serving_out,
+                                serving_reps, max_regression);
   }
-  std::printf("trajectory: OK\n");
-  return 0;
+  const auto verdict = [](int rc) {
+    return rc == 0 ? "OK" : rc == 1 ? "REGRESSION" : "ERROR";
+  };
+  std::printf("trajectory(micro): %s\n", verdict(micro_rc));
+  if (!serving_bench.empty()) {
+    std::printf("trajectory(serving): %s\n", verdict(serving_rc));
+  }
+  const int rc = std::max(micro_rc, serving_rc);
+  if (rc == 0) std::printf("trajectory: OK\n");
+  return rc;
 }
 
 }  // namespace

@@ -108,6 +108,24 @@ inline float Distance(const Vec3& a, const Vec3& b) {
   return std::sqrt(SquaredDistance(a, b));
 }
 
+/// One axis of a box distance, std::max(std::max(below, 0.0f), above): the
+/// separation along the axis (0 when the intervals overlap). Written as
+/// selects on one-lane GCC vectors because GCC keeps a data-dependent
+/// branch for the scalar compare against the constant 0; the vector
+/// selects compile to cmpltps/andnps plus maxps, with no branch and no
+/// ISA switch. A select keeps std::max's NaN rule exactly: a NaN `below`
+/// propagates, a NaN `above` is dropped (geometry_test pins both). (The
+/// _mm_max_ss intrinsic computes the same at run time, but GCC 12 folds it
+/// differently for constant NaN operands.)
+inline float AxisGap(float below, float above) {
+  using Lanes = float __attribute__((vector_size(16)));
+  const Lanes b = {below, below, below, below};
+  const Lanes a = {above, above, above, above};
+  const Lanes zero = {};
+  const Lanes clamped = b < zero ? zero : b;
+  return (clamped < a ? a : clamped)[0];
+}
+
 /// Axis-aligned bounding box (closed on all faces).
 ///
 /// The default-constructed box is *empty*: min > max on every axis, so it
@@ -226,21 +244,18 @@ struct AABB {
 
   /// Squared distance from `p` to the closest point of the box (0 inside).
   float SquaredDistanceTo(const Vec3& p) const {
-    const float dx = std::max({min.x - p.x, 0.0f, p.x - max.x});
-    const float dy = std::max({min.y - p.y, 0.0f, p.y - max.y});
-    const float dz = std::max({min.z - p.z, 0.0f, p.z - max.z});
+    const float dx = AxisGap(min.x - p.x, p.x - max.x);
+    const float dy = AxisGap(min.y - p.y, p.y - max.y);
+    const float dz = AxisGap(min.z - p.z, p.z - max.z);
     return dx * dx + dy * dy + dz * dz;
   }
 
   /// Squared distance between the closest points of two boxes (0 if they
   /// intersect). Used by distance joins (synapse detection, §2.2).
   float SquaredDistanceTo(const AABB& o) const {
-    const float dx =
-        std::max({min.x - o.max.x, 0.0f, o.min.x - max.x});
-    const float dy =
-        std::max({min.y - o.max.y, 0.0f, o.min.y - max.y});
-    const float dz =
-        std::max({min.z - o.max.z, 0.0f, o.min.z - max.z});
+    const float dx = AxisGap(min.x - o.max.x, o.min.x - max.x);
+    const float dy = AxisGap(min.y - o.max.y, o.min.y - max.y);
+    const float dz = AxisGap(min.z - o.max.z, o.min.z - max.z);
     return dx * dx + dy * dy + dz * dz;
   }
 };

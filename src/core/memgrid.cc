@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -87,6 +88,27 @@ CellVec CellVecOf(T x, T y, T z) {
 std::vector<CurveRun>& RangeScanRuns() {
   static thread_local std::vector<CurveRun> runs;
   return runs;
+}
+
+/// Per-thread heaps of the best-first kNN walk, kept per thread for the
+/// same reason as RangeScanRuns: `cells` holds pending (bound, cell) keys,
+/// `best` the k best (distance, id) keys so far.
+struct KnnScratch {
+  std::vector<std::uint64_t> cells;
+  std::vector<std::uint64_t> best;
+};
+KnnScratch& KnnScratchBuffers() {
+  static thread_local KnnScratch scratch;
+  return scratch;
+}
+
+/// (v, index) packed into one integer key. The bit pattern of a
+/// non-negative float (+inf included) is monotone in its value, so
+/// comparing keys compares (v, index) lexicographically — the (distance,
+/// id) order of ScanKnn, in one integer compare.
+std::uint64_t PackKey(float v, std::uint32_t index) {
+  return (static_cast<std::uint64_t>(std::bit_cast<std::uint32_t>(v)) << 32) |
+         index;
 }
 
 /// LSD radix sort of `*a` by the 8-bit digits of (v >> base_shift), running
@@ -1162,122 +1184,154 @@ void MemGrid::KnnQuery(const Vec3& p, std::size_t k,
                        std::vector<ElementId>* out,
                        QueryCounters* counters) const {
   out->clear();
-  if (k == 0 || size_ == 0) return;
+  // A NaN coordinate has no distance order: answer nothing rather than
+  // feed NaN keys to the heaps below.
+  if (k == 0 || size_ == 0 || std::isnan(p.x) || std::isnan(p.y) ||
+      std::isnan(p.z)) {
+    return;
+  }
   QueryCounters local;
   QueryCounters& c = counters != nullptr ? *counters : local;
 
-  const double density =
-      static_cast<double>(size_) /
-      std::max(1.0, static_cast<double>(universe_.Volume()));
-  float radius = static_cast<float>(
-      std::cbrt(static_cast<double>(k) / std::max(1e-12, density)));
-  radius = std::max(radius, cell_ * 0.5f);
-  float far2 = 0.0f;
-  for (int corner = 0; corner < 8; ++corner) {
-    const Vec3 v((corner & 1) ? universe_.max.x : universe_.min.x,
-                 (corner & 2) ? universe_.max.y : universe_.min.y,
-                 (corner & 4) ? universe_.max.z : universe_.min.z);
-    far2 = std::max(far2, SquaredDistance(v, p));
-  }
-  const float max_radius = std::sqrt(far2) + cell_ + max_half_extent_;
+  // Best-first walk (Hjaltason & Samet, TODS'99) over the grid's own
+  // cells. Every non-empty cell gets a lower bound on the distance from p
+  // to any element it holds: the per-axis gap from p's cell slab to the
+  // cell's faces, less max_half_extent_ and a cautious margin. The margin
+  // absorbs the float divergence between the face positions computed here
+  // (min + i*cell_) and the truncation grid CellCoords uses
+  // ((v - min) * inv_cell_): both scale with the lattice span
+  // (<= kMaxCellsPerAxis cells), so 1e-3*cell_ dominates the worst-case
+  // rounding by an order of magnitude. An axis on which the cell shares
+  // p's slab contributes 0, so the outer side of a boundary cell — into
+  // which CellCoords clamps outlying centres — is unbounded. Float
+  // squaring and summing are monotone, so per-axis gaps no larger than an
+  // element's per-axis distances give a bound no larger than its
+  // SquaredDistanceTo. Cells are pulled from a min-heap in (bound, cell)
+  // order into a k-bounded max-heap of (distance, id); Chebyshev rings
+  // around p's cell feed the cell heap lazily, a ring only once its face
+  // gap could undercut the best pending cell. The walk ends when the next
+  // cell's bound exceeds the k-th distance: a bound EQUAL to it may still
+  // hide a tying element with a smaller id.
+  std::int32_t cx, cy, cz;
+  CellCoords(p, &cx, &cy, &cz);
+  const auto nx = static_cast<std::int32_t>(nx_);
+  const auto ny = static_cast<std::int32_t>(ny_);
+  const auto nz = static_cast<std::int32_t>(nz_);
+  const float slack = max_half_extent_ + cell_ * 1e-3f;
+  // Gap along one axis from p (coordinate v, in slab ci) to lattice slab i.
+  // `g > 0 ? g : 0` also maps the NaN of inf - inf (an infinite probe
+  // against an infinite max_half_extent_) to the always-safe bound 0.
+  const auto axis_gap = [&](float v, float lo, std::int32_t i,
+                            std::int32_t ci) {
+    float g = 0.0f;
+    if (i > ci) g = (lo + static_cast<float>(i) * cell_ - v) - slack;
+    if (i < ci) g = (v - (lo + static_cast<float>(i + 1) * cell_)) - slack;
+    return g > 0.0f ? g : 0.0f;
+  };
 
-  // Shell-incremental expansion: the probe cube only grows, so each round
-  // scans just the cells the latest radius doubling exposed — inner cells
-  // contribute their candidates exactly once.
-  std::vector<std::pair<float, ElementId>> cand;
-  const auto scan_cell = [&](std::int32_t x, std::int32_t y, std::int32_t z) {
+  KnnScratch& s = KnnScratchBuffers();
+  std::vector<std::uint64_t>& cells = s.cells;  // Min-heap of (bound, cell).
+  std::vector<std::uint64_t>& best = s.best;    // Max-heap of (dist, id).
+  cells.clear();
+  best.clear();
+  // Key of the k-th best candidate once k are held; until then every
+  // key compares below it.
+  std::uint64_t kth = ~std::uint64_t{0};
+  const auto push_cell = [&](std::int32_t x, std::int32_t y, std::int32_t z) {
     const std::size_t cell = CellIndex(x, y, z);
-    const Entry* entries = CellEntries(cell);
-    const std::uint32_t count = CellCount(cell);
-    c.nodes_visited += 1;
-    c.distance_computations += count;
-    for (std::uint32_t e = 0; e < count; ++e) {
-      cand.emplace_back(entries[e].box.SquaredDistanceTo(p), entries[e].id);
-    }
+    if (regions_[cell].count == 0) return;
+    const float gx = axis_gap(p.x, universe_.min.x, x, cx);
+    const float gy = axis_gap(p.y, universe_.min.y, y, cy);
+    const float gz = axis_gap(p.z, universe_.min.z, z, cz);
+    const std::uint64_t key =
+        PackKey(gx * gx + gy * gy + gz * gz, static_cast<std::uint32_t>(cell));
+    // The k-th distance only shrinks, so a cell already beyond it never
+    // needs a heap slot.
+    if ((key >> 32) > (kth >> 32)) return;
+    cells.push_back(key);
+    std::push_heap(cells.begin(), cells.end(), std::greater<>());
   };
-  const auto by_distance = [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first < b.first : a.second < b.second;
-  };
-  std::int32_t px0 = 0, px1 = -1, py0 = 0, py1 = -1, pz0 = 0, pz1 = -1;
-  while (true) {
-    const AABB probe =
-        AABB::FromCenterHalfExtent(p, radius).Inflated(max_half_extent_);
-    std::int32_t x0, y0, z0, x1, y1, z1;
-    CellCoords(probe.min, &x0, &y0, &z0);
-    CellCoords(probe.max, &x1, &y1, &z1);
+  // Ring r: the lattice cells at Chebyshev distance exactly r from p's.
+  const auto push_ring = [&](std::int32_t r) {
+    const std::int32_t x0 = std::max(cx - r, 0);
+    const std::int32_t x1 = std::min(cx + r, nx - 1);
+    const std::int32_t y0 = std::max(cy - r, 0);
+    const std::int32_t y1 = std::min(cy + r, ny - 1);
+    const std::int32_t z0 = std::max(cz - r, 0);
+    const std::int32_t z1 = std::min(cz + r, nz - 1);
     for (std::int32_t x = x0; x <= x1; ++x) {
       for (std::int32_t y = y0; y <= y1; ++y) {
-        if (x >= px0 && x <= px1 && y >= py0 && y <= py1) {
-          // Column already visited up to [pz0, pz1]: only the caps are new.
-          for (std::int32_t z = z0; z < pz0; ++z) scan_cell(x, y, z);
-          for (std::int32_t z = pz1 + 1; z <= z1; ++z) scan_cell(x, y, z);
+        if (x == cx - r || x == cx + r || y == cy - r || y == cy + r) {
+          for (std::int32_t z = z0; z <= z1; ++z) push_cell(x, y, z);
         } else {
-          for (std::int32_t z = z0; z <= z1; ++z) scan_cell(x, y, z);
+          if (cz - r >= 0) push_cell(x, y, cz - r);
+          if (cz + r < nz) push_cell(x, y, cz + r);
         }
       }
     }
-    px0 = x0, px1 = x1, py0 = y0, py1 = y1, pz0 = z0, pz1 = z1;
-    // Per-shell distance lower bound: every unseen element's centre lies
-    // beyond one of the scanned cube's exposed faces (sides flush with the
-    // grid edge are fully covered — CellCoords clamps outlying centres
-    // into boundary cells), so no unseen box can come closer than
-    // gap - max_half_extent_. That is at least as strong as the classical
-    // radius bound (the cube covers ball(p, radius + mhe) on open sides)
-    // and stops the doubling one shell earlier whenever the cube's
-    // cell-granular overhang already proves the k-th candidate final.
-    float gap = std::numeric_limits<float>::infinity();
-    if (x0 > 0) {
-      gap = std::min(gap, p.x - (universe_.min.x +
-                                 static_cast<float>(x0) * cell_));
-    }
-    if (static_cast<std::size_t>(x1) + 1 < nx_) {
-      gap = std::min(gap, universe_.min.x +
-                              static_cast<float>(x1 + 1) * cell_ - p.x);
-    }
-    if (y0 > 0) {
-      gap = std::min(gap, p.y - (universe_.min.y +
-                                 static_cast<float>(y0) * cell_));
-    }
-    if (static_cast<std::size_t>(y1) + 1 < ny_) {
-      gap = std::min(gap, universe_.min.y +
-                              static_cast<float>(y1 + 1) * cell_ - p.y);
-    }
-    if (z0 > 0) {
-      gap = std::min(gap, p.z - (universe_.min.z +
-                                 static_cast<float>(z0) * cell_));
-    }
-    if (static_cast<std::size_t>(z1) + 1 < nz_) {
-      gap = std::min(gap, universe_.min.z +
-                              static_cast<float>(z1 + 1) * cell_ - p.z);
-    }
-    // A cautious margin absorbs the float divergence between the face
-    // positions computed here (min + i*cell_) and the truncation grid
-    // CellCoords uses ((v - min) * inv_cell_): both scale with the lattice
-    // span (<= kMaxCellsPerAxis cells), so a 1e-3*cell_ slack dominates
-    // the worst-case rounding by an order of magnitude. The degenerate
-    // inputs (k >= n, zero-extent points, probes exactly on a cell face,
-    // gap == 0) are pinned by the differential battery in core_test.
-    const float shell_lb =
-        std::max(0.0f, gap - max_half_extent_ - cell_ * 1e-3f);
-    const bool grid_fully_scanned = std::isinf(gap);
-    if (cand.size() >= k) {
-      std::nth_element(cand.begin(), cand.begin() + (k - 1), cand.end(),
-                       by_distance);
-      if (cand[k - 1].first <= radius * radius ||
-          cand[k - 1].first <= shell_lb * shell_lb || grid_fully_scanned ||
-          radius >= max_radius) {
-        break;
+  };
+  // Squared-gap bits bounding every cell beyond ring r: each lies past one
+  // of the ring's open faces. False once ring r reaches the lattice edge
+  // on every side (nothing lies beyond it).
+  const auto beyond_ring = [&](std::int32_t r, std::uint32_t* bound) {
+    float g = std::numeric_limits<float>::infinity();
+    bool open = false;
+    const auto side = [&](float v, float lo, std::int32_t ci,
+                          std::int32_t n) {
+      if (ci - r - 1 >= 0) {
+        open = true;
+        g = std::min(g, axis_gap(v, lo, ci - r - 1, ci));
       }
-    } else if (grid_fully_scanned || radius >= max_radius) {
-      break;
+      if (ci + r + 1 < n) {
+        open = true;
+        g = std::min(g, axis_gap(v, lo, ci + r + 1, ci));
+      }
+    };
+    side(p.x, universe_.min.x, cx, nx);
+    side(p.y, universe_.min.y, cy, ny);
+    side(p.z, universe_.min.z, cz, nz);
+    *bound = std::bit_cast<std::uint32_t>(g * g);
+    return open;
+  };
+
+  std::int32_t ring = 0;
+  push_ring(0);
+  std::uint32_t next_ring_bound = 0;
+  bool rings_left = beyond_ring(0, &next_ring_bound);
+  while (true) {
+    while (rings_left && next_ring_bound <= (kth >> 32) &&
+           (cells.empty() || next_ring_bound <= (cells.front() >> 32))) {
+      push_ring(++ring);
+      rings_left = beyond_ring(ring, &next_ring_bound);
     }
-    radius *= 2.0f;
+    if (cells.empty() || (cells.front() >> 32) > (kth >> 32)) break;
+    const auto cell = static_cast<std::size_t>(cells.front() & 0xffffffffu);
+    std::pop_heap(cells.begin(), cells.end(), std::greater<>());
+    cells.pop_back();
+    const Entry* entries = CellEntries(cell);
+    const std::uint32_t count = regions_[cell].count;
+    c.nodes_visited += 1;
+    c.distance_computations += count;
+    for (std::uint32_t e = 0; e < count; ++e) {
+      const std::uint64_t key =
+          PackKey(entries[e].box.SquaredDistanceTo(p), entries[e].id);
+      if (best.size() < k) {
+        best.push_back(key);
+        std::push_heap(best.begin(), best.end());
+        if (best.size() == k) kth = best.front();
+      } else if (key < kth) {
+        std::pop_heap(best.begin(), best.end());
+        best.back() = key;
+        std::push_heap(best.begin(), best.end());
+        kth = best.front();
+      }
+    }
   }
-  const std::size_t take = std::min(k, cand.size());
-  std::partial_sort(cand.begin(), cand.begin() + take, cand.end(),
-                    by_distance);
-  out->reserve(take);
-  for (std::size_t i = 0; i < take; ++i) out->push_back(cand[i].second);
+  std::sort_heap(best.begin(), best.end());
+  out->reserve(best.size());
+  for (const std::uint64_t key : best) {
+    out->push_back(static_cast<ElementId>(key & 0xffffffffu));
+  }
   c.results += out->size();
 }
 
@@ -1449,8 +1503,8 @@ void MemGrid::KnnQueryBatch(std::span<const Vec3> points, std::size_t k,
   if (points.empty()) return;
   QueryCounters local;
   QueryCounters& c = counters != nullptr ? *counters : local;
-  // kNN probes have no first interval — their shells grow outward from
-  // the centre — so the centre cell's rank is the natural anchor.
+  // kNN probes have no first interval — their walk grows outward from
+  // the centre cell — so the centre cell's rank is the natural anchor.
   const auto order = RankOrderedSchedule(
       points.size(), regions_.size() - 1,
       [&](std::size_t i) { return CellRank(CellOf(points[i])); });

@@ -246,6 +246,19 @@ class MemGrid {
   /// allocation. The monitoring path for density/occupancy probes.
   std::size_t RangeQueryCount(const AABB& range,
                               QueryCounters* counters = nullptr) const;
+  /// The k elements nearest to `p` by AABB::SquaredDistanceTo, in
+  /// (distance, id) order — exactly ScanKnn's answer. Best-first walk:
+  /// cells are visited in increasing order of a lower bound on the
+  /// distance to anything they hold — the distance from `p` to the cell
+  /// box inflated by max_half_extent_ plus 1e-3*cell, a boundary cell
+  /// unbounded on its outer side (CellCoords clamps outlying centres into
+  /// it), ties by cell index — and the walk stops once the next bound
+  /// exceeds the k-th distance. A bound equal to it is still scanned: an
+  /// element tying the k-th distance wins by its smaller id. A probe with
+  /// a NaN coordinate has no distance order and gets an empty result; a
+  /// +-inf coordinate makes every distance +inf, so the k smallest ids
+  /// win. Counters: nodes_visited counts the cells whose entries were
+  /// scanned, distance_computations the entries in them.
   void KnnQuery(const Vec3& p, std::size_t k, std::vector<ElementId>* out,
                 QueryCounters* counters = nullptr) const;
 
@@ -278,8 +291,8 @@ class MemGrid {
                                    QueryCounters* counters = nullptr) const;
   /// Batched kNN under the same schedule and bit-identity contract (slot
   /// i == KnnQuery(points[i], k)); the anchor is the centre cell's rank
-  /// (a kNN probe has no natural first interval — its shells grow from
-  /// the centre).
+  /// (a kNN probe has no natural first interval — its walk grows from
+  /// the centre cell). A NaN probe's slot is empty, as in KnnQuery.
   void KnnQueryBatch(std::span<const Vec3> points, std::size_t k,
                      std::vector<std::vector<ElementId>>* out,
                      QueryCounters* counters = nullptr) const;

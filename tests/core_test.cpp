@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "common/bruteforce.h"
 #include "common/rng.h"
@@ -102,11 +106,12 @@ TEST(MemGridTest, PlasticityUpdatesAreOverwhelminglyInPlace) {
   EXPECT_TRUE(g.CheckInvariants(&err)) << err;
 }
 
-// The per-shell distance lower bound must stop kNN shell expansion early
-// WITHOUT changing results — exactness is checked against the linear scan
-// on clustered data with coarse cells, the regime where the plain radius
-// doubling overshoots by a whole shell (the ROADMAP item this closes).
-TEST(MemGridTest, KnnShellLowerBoundStaysExactOnClusteredData) {
+// The per-cell distance lower bound must stop the best-first kNN walk
+// early WITHOUT changing results — exactness is checked against the
+// linear scan on clustered data with coarse cells, where one cell holds
+// far more than k candidates and the void between clusters forces the
+// walk through many empty rings.
+TEST(MemGridTest, KnnLowerBoundStaysExactOnClusteredData) {
   const auto elems =
       GenerateClusteredBoxes(8000, kUniverse, 6, 3.0f, 0.1f, 0.7f);
   for (const CellLayout layout :
@@ -134,14 +139,14 @@ TEST(MemGridTest, KnnShellLowerBoundStaysExactOnClusteredData) {
   }
 }
 
-// Satellite audit of the kNN per-shell float-safety margin: the shell
-// lower bound (gap - max_half_extent - 1e-3*cell) must never stop the
-// expansion early on the degenerate inputs where the bound is tightest —
+// Audit of the kNN float-safety margin: the per-cell lower bound
+// (gap - max_half_extent - 1e-3*cell) must never stop the walk early on
+// the degenerate inputs where the bound is tightest —
 // zero-half-extent points (mhe contributes nothing), exact duplicates
 // (distance ties resolved by id), query points EXACTLY on cell faces and
 // lattice corners (gap == 0 on both sides of the face), probes outside
 // the universe (CellCoords clamps into boundary cells) and k >= n (the
-// expansion must run to grid exhaustion). Differential vs the linear scan
+// walk must run to grid exhaustion). Differential vs the linear scan
 // across every layout and a sharded storage config.
 TEST(MemGridTest, KnnDegenerateInputsStayExactAcrossLayouts) {
   const float cell = 4.0f;
@@ -189,6 +194,273 @@ TEST(MemGridTest, KnnDegenerateInputsStayExactAcrossLayouts) {
           ASSERT_EQ(got, ScanKnn(elems, probes[p], k))
               << "layout=" << ToString(layout) << " shards=" << shards
               << " probe " << p << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+// The five MemGrid registry profiles (memgrid, memgrid-padded,
+// memgrid-morton, memgrid-hilbert, memgrid-sharded) at a fixed cell size,
+// so a test can read back the lattice the kNN walk bounds.
+std::vector<std::pair<std::string, MemGridConfig>> MemGridProfiles(
+    float cell) {
+  return {
+      {"memgrid", MemGridConfig{.cell_size = cell}},
+      {"memgrid-padded", MemGridConfig{.cell_size = cell, .min_slack = 2,
+                                       .slack_fraction = 0.25f}},
+      {"memgrid-morton",
+       MemGridConfig{.cell_size = cell, .layout = CellLayout::kMorton}},
+      {"memgrid-hilbert",
+       MemGridConfig{.cell_size = cell, .layout = CellLayout::kHilbert}},
+      {"memgrid-sharded", MemGridConfig{.cell_size = cell, .shards = 5,
+                                        .compact_regions_per_batch = 48}},
+  };
+}
+
+/// Elements held by the cells whose lattice lower bound is <= kth2, by
+/// brute force over the whole lattice. A cell's bound is the squared
+/// distance from `p` to its box inflated by max_half_extent plus
+/// 2e-3*cell, a boundary cell's box unbounded on its outer side. The walk
+/// inflates by 1e-3*cell; the extra 1e-3*cell absorbs the float rounding
+/// of its bound, so every cell the walk may scan is counted here.
+std::size_t ElementsWithinLatticeBound(const MemGrid& g,
+                                       const std::vector<Element>& elems,
+                                       const Vec3& p, double kth2) {
+  const MemGridShape s = g.Shape();
+  const AABB& u = g.universe();
+  const std::size_t n[3] = {s.nx, s.ny, s.nz};
+  const float inv_cell = 1.0f / s.cell_size;
+  std::vector<std::size_t> count(s.nx * s.ny * s.nz, 0);
+  for (const Element& e : elems) {
+    const Vec3 c = e.Center();
+    std::size_t cell = 0;
+    for (int a = 0; a < 3; ++a) {
+      cell = cell * n[a] +
+             static_cast<std::size_t>(ClampedCellCoord(
+                 (c[a] - u.min[a]) * inv_cell, 0,
+                 static_cast<std::int32_t>(n[a]) - 1));
+    }
+    ++count[cell];
+  }
+  const double slack = static_cast<double>(s.max_half_extent) +
+                       2e-3 * static_cast<double>(s.cell_size);
+  const auto gap2 = [&](int a, std::size_t i) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double lo = i == 0 ? -inf
+                             : u.min[a] + static_cast<double>(i) *
+                                              s.cell_size - slack;
+    const double hi = i + 1 == n[a] ? inf
+                                    : u.min[a] + static_cast<double>(i + 1) *
+                                                     s.cell_size + slack;
+    const double d = std::max({lo - p[a], 0.0, p[a] - hi});
+    return d * d;
+  };
+  std::size_t total = 0;
+  for (std::size_t x = 0; x < s.nx; ++x) {
+    for (std::size_t y = 0; y < s.ny; ++y) {
+      for (std::size_t z = 0; z < s.nz; ++z) {
+        if (gap2(0, x) + gap2(1, y) + gap2(2, z) <= kth2) {
+          total += count[(x * s.ny + y) * s.nz + z];
+        }
+      }
+    }
+  }
+  return total;
+}
+
+// The kNN walk is best-first: it scans a cell only if the cell's lattice
+// lower bound does not exceed the final k-th distance (a shell walk scans
+// whole cubes of cells beyond it). So each probe's distance computations
+// are at most the element count of those cells, computed here by brute
+// force, on uniform and clustered data across every registry profile.
+TEST(MemGridTest, KnnWalkIsBestFirst) {
+  const std::pair<const char*, std::vector<Element>> datasets[] = {
+      {"uniform", GenerateUniformBoxes(3000, kUniverse, 0.05f, 0.8f)},
+      {"clustered",
+       GenerateClusteredBoxes(3000, kUniverse, 5, 4.0f, 0.05f, 0.8f)},
+  };
+  for (const auto& [dname, elems] : datasets) {
+    std::vector<Element> by_id(elems.size());
+    for (const Element& e : elems) by_id[e.id] = e;
+    Rng rng(91);
+    std::vector<Vec3> probes;
+    for (int i = 0; i < 12; ++i) probes.push_back(rng.PointIn(kUniverse));
+    for (int i = 0; i < 12; ++i) {
+      probes.push_back(elems[rng.NextBelow(elems.size())].Center());
+    }
+    probes.emplace_back(-15, 50, 50);
+    probes.emplace_back(120, -8, 104);
+    for (const auto& [pname, cfg] : MemGridProfiles(6.0f)) {
+      MemGrid g(kUniverse, cfg);
+      g.Build(elems);
+      for (std::size_t q = 0; q < probes.size(); ++q) {
+        for (const std::size_t k :
+             {std::size_t{1}, std::size_t{10}, std::size_t{40}}) {
+          std::vector<ElementId> got;
+          QueryCounters c;
+          g.KnnQuery(probes[q], k, &got, &c);
+          ASSERT_EQ(got, ScanKnn(elems, probes[q], k))
+              << dname << " " << pname << " q" << q << " k=" << k;
+          const double kth2 =
+              got.size() < k
+                  ? std::numeric_limits<double>::infinity()
+                  : by_id[got.back()].box.SquaredDistanceTo(probes[q]);
+          EXPECT_LE(c.distance_computations,
+                    ElementsWithinLatticeBound(g, elems, probes[q], kth2))
+              << dname << " " << pname << " q" << q << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+/// Move ~40% of the elements with ids >= `pinned` next to another such
+/// element (ids are positions in `mirror`) —
+/// migrations that keep the data's shape (clusters stay clusters) while
+/// churning regions, so a small compaction budget leaves passes in flight.
+std::vector<ElementUpdate> ShapeKeepingChurn(std::vector<Element>* mirror,
+                                             ElementId pinned, Rng* rng) {
+  std::vector<ElementUpdate> batch;
+  for (Element& e : *mirror) {
+    if (e.id < pinned || rng->NextFloat() >= 0.4f) continue;
+    const Vec3 anchor =
+        (*mirror)[pinned + rng->NextBelow(mirror->size() - pinned)].Center() +
+        Vec3(rng->Uniform(-1, 1), rng->Uniform(-1, 1), rng->Uniform(-1, 1));
+    e.box = AABB::FromCenterHalfExtent(anchor, rng->Uniform(0.05f, 0.8f));
+    batch.emplace_back(e.id, e.box);
+  }
+  return batch;
+}
+
+/// Point elements tied across cell boundaries (cell 4, so the probes'
+/// cell spans [48, 52) on each axis). Ids 0..5 lie at distance 3 from
+/// (50,50,50), one per face-neighbour cell, id 0 in the cell the walk
+/// pops last among them: k=7 cuts that tie. Ids 6 and 7 lie at distance
+/// 1.5 from (51,50,50), id 6 beyond x = 52 in the neighbour cell, id 7 in
+/// the probe's own cell: k=2 cuts that tie. Id 8 is nearer to both
+/// probes. Ids 9 and 10 are boxes that both contain (51.8,50,50), id 9 in
+/// the neighbour cell beyond x = 52: the distance-0 tie sits exactly on
+/// that cell's lower bound, which the walk must still scan. The filler
+/// boxes stay at least 4 away from every probe.
+std::vector<Element> KnnTieDataset(std::size_t filler) {
+  std::vector<Element> elems;
+  const auto point = [&](float x, float y, float z) {
+    elems.emplace_back(static_cast<ElementId>(elems.size()),
+                       AABB::FromPoint(Vec3(x, y, z)));
+  };
+  point(53, 50, 50);  // +x neighbour: the largest cell index, popped last.
+  point(50, 50, 53);
+  point(50, 53, 50);
+  point(50, 50, 47);
+  point(50, 47, 50);
+  point(47, 50, 50);
+  point(52.5f, 50, 50);
+  point(49.5f, 50, 50);
+  point(50, 50, 51);
+  elems.emplace_back(9, AABB::FromCenterHalfExtent(Vec3(52.2f, 50, 50), 0.5f));
+  elems.emplace_back(10,
+                     AABB::FromCenterHalfExtent(Vec3(51.6f, 50, 50), 0.5f));
+  Rng rng(93);
+  while (elems.size() < filler + 11) {
+    const Vec3 c = rng.PointIn(kUniverse);
+    if (SquaredDistance(c, Vec3(50.5f, 50, 50)) < 49.0f) continue;
+    elems.emplace_back(static_cast<ElementId>(elems.size()),
+                       AABB::FromCenterHalfExtent(c, rng.Uniform(0.05f, 0.5f)));
+  }
+  return elems;
+}
+
+// kNN differential against ScanKnn at the walk's edges — probes outside
+// the universe, probes in the empty space between clusters, k >= n, a
+// single-cell grid and (distance, id) ties at the k-th position split
+// across cells — at shards {1, 5} x threads {0, 2}, pristine and
+// mid-compaction, on every layout. KnnQueryBatch slots must equal the
+// per-probe calls, counters included.
+TEST(MemGridTest, KnnMatchesScanKnnAtTheWalksEdges) {
+  struct Dataset {
+    const char* name;
+    std::vector<Element> elems;
+    float cell;
+    ElementId pinned;  // Ids the churn must not move.
+  };
+  const Dataset datasets[] = {
+      {"uniform", GenerateUniformBoxes(3000, kUniverse, 0.05f, 0.8f), 4.0f,
+       0},
+      {"clustered",
+       GenerateClusteredBoxes(3000, kUniverse, 4, 3.0f, 0.05f, 0.8f), 4.0f,
+       0},
+      {"single-cell", GenerateUniformBoxes(600, kUniverse, 0.05f, 0.8f),
+       500.0f, 0},
+      {"ties", KnnTieDataset(3000), 4.0f, 11},
+  };
+  for (const Dataset& ds : datasets) {
+    Rng rng(94);
+    std::vector<Vec3> probes = {Vec3(50, 50, 50), Vec3(51, 50, 50),
+                                Vec3(51.8f, 50, 50), Vec3(-20, 50, 130), Vec3(150, 150, 150),
+                                Vec3(0, 0, 0), Vec3(-1e6f, 3, 3)};
+    // Empty space: random points whose nearest element is > 8 away (a
+    // few always exist between four tight clusters).
+    for (int tries = 0, kept = 0; tries < 2000 && kept < 6; ++tries) {
+      const Vec3 p = rng.PointIn(kUniverse);
+      const auto nn = ScanKnn(ds.elems, p, 1);
+      if (ds.elems[nn[0]].box.SquaredDistanceTo(p) > 64.0f) {
+        probes.push_back(p);
+        ++kept;
+      }
+    }
+    for (int i = 0; i < 6; ++i) probes.push_back(rng.PointIn(kUniverse));
+    const std::size_t n = ds.elems.size();
+    const std::size_t ks[] = {1, 2, 3, 7, 40, n, n + 5};
+    for (const CellLayout layout :
+         {CellLayout::kRowMajor, CellLayout::kMorton, CellLayout::kHilbert}) {
+      for (const std::uint32_t shards : {1u, 5u}) {
+        for (const std::uint32_t threads : {0u, 2u}) {
+          for (const bool mid_compaction : {false, true}) {
+            const std::string label =
+                std::string(ds.name) + " layout=" + ToString(layout) +
+                " shards=" + std::to_string(shards) +
+                " t=" + std::to_string(threads) +
+                (mid_compaction ? " mid-compaction" : " pristine");
+            MemGrid g(kUniverse,
+                      MemGridConfig{.cell_size = ds.cell,
+                                    .threads = threads,
+                                    .layout = layout,
+                                    .shards = shards,
+                                    .compact_regions_per_batch =
+                                        mid_compaction ? 4u : 0u});
+            g.Build(ds.elems);
+            std::vector<Element> mirror = ds.elems;
+            if (mid_compaction) {
+              Rng churn(95);
+              for (int round = 0;
+                   round < 6 && g.Shape().compacting_shards == 0; ++round) {
+                g.ApplyUpdates(ShapeKeepingChurn(&mirror, ds.pinned, &churn));
+              }
+              if (ds.cell < 100.0f) {
+                ASSERT_GT(g.Shape().compacting_shards, 0u) << label;
+              }
+            }
+            for (const std::size_t k : ks) {
+              // k >= n walks the whole lattice; a few probes (inside, on
+              // the ties, outside the universe) cover it.
+              const std::span<const Vec3> batch =
+                  std::span<const Vec3>(probes).first(k >= n ? 4
+                                                             : probes.size());
+              std::vector<std::vector<ElementId>> want(batch.size());
+              QueryCounters want_c;
+              for (std::size_t q = 0; q < batch.size(); ++q) {
+                g.KnnQuery(batch[q], k, &want[q], &want_c);
+                ASSERT_EQ(want[q], ScanKnn(mirror, batch[q], k))
+                    << label << " q" << q << " k=" << k;
+              }
+              std::vector<std::vector<ElementId>> got;
+              QueryCounters got_c;
+              g.KnnQueryBatch(batch, k, &got, &got_c);
+              ASSERT_EQ(got, want) << label << " batch k=" << k;
+              EXPECT_EQ(got_c, want_c) << label << " batch counters k=" << k;
+            }
+          }
         }
       }
     }

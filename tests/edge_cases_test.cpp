@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/bruteforce.h"
 #include "common/rng.h"
@@ -231,6 +232,58 @@ TEST_P(EdgeCaseTest, DuplicateHeavyKnn) {
   std::vector<ElementId> got;
   index->KnnQuery(Vec3(0, 0, 0), 10, &got);
   EXPECT_EQ(got, ScanKnn(elems, Vec3(0, 0, 0), 10)) << index->name();
+}
+
+// Non-finite kNN probes on the MemGrid profiles. A NaN coordinate has no
+// distance order, so KnnQuery and KnnQueryBatch answer it with an empty
+// result (and leave the batch's other slots alone). A +-inf coordinate
+// stays defined: every distance is +inf, so the k smallest ids win, as in
+// ScanKnn.
+TEST_P(EdgeCaseTest, MemGridKnnNonFiniteProbes) {
+  if (GetParam().rfind("memgrid", 0) != 0) GTEST_SKIP();
+  auto index = MakeIndex(GetParam());
+  Rng rng(62);
+  std::vector<Element> elems;
+  for (ElementId i = 0; i < 200; ++i) {
+    elems.emplace_back(
+        i, AABB::FromCenterHalfExtent(rng.PointIn(kUniverse), 0.3f));
+  }
+  index->Build(elems, kUniverse);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<Vec3> nan_probes = {Vec3(nan, 5, 5), Vec3(5, nan, 5),
+                                        Vec3(5, 5, nan), Vec3(nan, nan, nan),
+                                        Vec3(inf, nan, 5)};
+  const std::vector<Vec3> inf_probes = {Vec3(inf, 5, 5), Vec3(5, -inf, 5),
+                                        Vec3(-inf, inf, -inf)};
+  const std::vector<ElementId> first_ids = {0, 1, 2, 3, 4, 5, 6};
+  std::vector<Vec3> batch;
+  for (const Vec3& p : nan_probes) {
+    std::vector<ElementId> got{42};
+    QueryCounters c;
+    index->KnnQuery(p, 7, &got, &c);
+    EXPECT_TRUE(got.empty()) << index->name() << " " << p;
+    EXPECT_EQ(c.distance_computations, 0u) << index->name() << " " << p;
+    batch.push_back(p);
+    batch.push_back(Vec3(5, 5, 5));
+  }
+  for (const Vec3& p : inf_probes) {
+    std::vector<ElementId> got;
+    index->KnnQuery(p, 7, &got);
+    EXPECT_EQ(got, first_ids) << index->name() << " " << p;
+    EXPECT_EQ(got, ScanKnn(elems, p, 7)) << index->name() << " " << p;
+    batch.push_back(p);
+  }
+  std::vector<std::vector<ElementId>> slots;
+  index->KnnQueryBatch(batch, 7, &slots);
+  ASSERT_EQ(slots.size(), batch.size()) << index->name();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    std::vector<ElementId> single;
+    index->KnnQuery(batch[i], 7, &single);
+    EXPECT_EQ(slots[i], single) << index->name() << " slot " << i;
+  }
+  EXPECT_TRUE(slots[0].empty()) << index->name();
+  EXPECT_EQ(slots[1], ScanKnn(elems, Vec3(5, 5, 5), 7)) << index->name();
 }
 
 // Batch entry points under degenerate probes: every registry profile —

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -105,6 +106,110 @@ TEST(AABBTest, DistanceToBox) {
                   4.0f);
   EXPECT_FLOAT_EQ(
       a.SquaredDistanceTo(AABB(Vec3(0.5f, 0.5f, 0.5f), Vec3(2, 2, 2))), 0.0f);
+}
+
+// The std::max({below, 0, above}) form both SquaredDistanceTo overloads
+// had before AxisGap, kept as the reference it must match bit for bit.
+float ReferenceSquaredDistance(const AABB& b, const Vec3& p) {
+  const float dx = std::max({b.min.x - p.x, 0.0f, p.x - b.max.x});
+  const float dy = std::max({b.min.y - p.y, 0.0f, p.y - b.max.y});
+  const float dz = std::max({b.min.z - p.z, 0.0f, p.z - b.max.z});
+  return dx * dx + dy * dy + dz * dz;
+}
+float ReferenceSquaredDistance(const AABB& a, const AABB& o) {
+  const float dx = std::max({a.min.x - o.max.x, 0.0f, o.min.x - a.max.x});
+  const float dy = std::max({a.min.y - o.max.y, 0.0f, o.min.y - a.max.y});
+  const float dz = std::max({a.min.z - o.max.z, 0.0f, o.min.z - a.max.z});
+  return dx * dx + dy * dy + dz * dz;
+}
+
+std::uint32_t Bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+/// A coordinate drawn from finite values of every magnitude, +-0 and
+/// +-inf (a box may be inverted; inf - inf yields NaN mid-expression).
+float DistanceTestCoord(Rng* rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  switch (rng->NextBelow(10)) {
+    case 0: return 0.0f;
+    case 1: return -0.0f;
+    case 2: return inf;
+    case 3: return -inf;
+    case 4: return (rng->NextFloat() - 0.5f) * 6.0f * 1e38f;
+    case 5: return (rng->NextFloat() - 0.5f) * 2e-30f;
+    default: return rng->Uniform(-20.0f, 20.0f);
+  }
+}
+
+Vec3 DistanceTestPoint(Rng* rng) {
+  return Vec3(DistanceTestCoord(rng), DistanceTestCoord(rng),
+              DistanceTestCoord(rng));
+}
+
+TEST(AABBTest, BranchFreeDistanceMatchesReferenceBitForBit) {
+  Rng rng(79);
+  for (int i = 0; i < 20000; ++i) {
+    const AABB a(DistanceTestPoint(&rng), DistanceTestPoint(&rng));
+    const AABB b(DistanceTestPoint(&rng), DistanceTestPoint(&rng));
+    const Vec3 p = DistanceTestPoint(&rng);
+    ASSERT_EQ(Bits(a.SquaredDistanceTo(p)),
+              Bits(ReferenceSquaredDistance(a, p)))
+        << a << " " << p;
+    ASSERT_EQ(Bits(a.SquaredDistanceTo(b)),
+              Bits(ReferenceSquaredDistance(a, b)))
+        << a << " " << b;
+  }
+  // Ordinary boxes and points, where nearly every pair is finite.
+  const AABB u(Vec3(-50, -50, -50), Vec3(50, 50, 50));
+  for (int i = 0; i < 20000; ++i) {
+    const AABB a = AABB::FromCenterHalfExtent(rng.PointIn(u),
+                                              rng.Uniform(0.0f, 9.0f));
+    const AABB b = AABB::FromCenterHalfExtent(rng.PointIn(u),
+                                              rng.Uniform(0.0f, 9.0f));
+    const Vec3 p = rng.PointIn(u);
+    ASSERT_EQ(Bits(a.SquaredDistanceTo(p)),
+              Bits(ReferenceSquaredDistance(a, p)));
+    ASSERT_EQ(Bits(a.SquaredDistanceTo(b)),
+              Bits(ReferenceSquaredDistance(a, b)));
+  }
+}
+
+// NaN rule: per axis the distance is max(max(below, 0), above) with
+// std::max's comparisons, so a NaN `below` term (box.min - p; a.min -
+// o.max) propagates to a NaN distance, while a NaN `above` term (p -
+// box.max; o.min - a.max) alone is dropped and the axis counts as
+// overlapping. A NaN probe coordinate enters both terms: NaN distance.
+TEST(AABBTest, NaNCoordinatesFollowTheReferenceRule) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const AABB unit(Vec3(0, 0, 0), Vec3(1, 1, 1));
+  EXPECT_TRUE(std::isnan(unit.SquaredDistanceTo(Vec3(nan, 0.5f, 0.5f))));
+  EXPECT_TRUE(std::isnan(unit.SquaredDistanceTo(Vec3(5, 5, nan))));
+  const AABB nan_min(Vec3(nan, 0, 0), Vec3(1, 1, 1));
+  EXPECT_TRUE(std::isnan(nan_min.SquaredDistanceTo(Vec3(5, 0.5f, 0.5f))));
+  const AABB nan_max(Vec3(0, 0, 0), Vec3(nan, 1, 1));
+  EXPECT_EQ(nan_max.SquaredDistanceTo(Vec3(5, 0.5f, 0.5f)), 0.0f);
+  EXPECT_EQ(nan_max.SquaredDistanceTo(Vec3(-2, 0.5f, 0.5f)), 4.0f);
+  // Box-box: o.max enters `below`, o.min enters `above`.
+  EXPECT_TRUE(std::isnan(unit.SquaredDistanceTo(nan_max.Translated(
+      Vec3(5, 0, 0)))));
+  EXPECT_EQ(unit.SquaredDistanceTo(AABB(Vec3(nan, 0, 0), Vec3(9, 1, 1))),
+            0.0f);
+  EXPECT_TRUE(std::isnan(nan_min.SquaredDistanceTo(unit)));
+  // And the reference agrees on every one of these (bits included, since
+  // the NaN travels through the same operations).
+  const Vec3 points[] = {Vec3(nan, 0.5f, 0.5f), Vec3(5, 5, nan),
+                         Vec3(5, 0.5f, 0.5f), Vec3(-2, 0.5f, 0.5f)};
+  for (const AABB& b : {unit, nan_min, nan_max}) {
+    for (const Vec3& p : points) {
+      EXPECT_EQ(Bits(b.SquaredDistanceTo(p)),
+                Bits(ReferenceSquaredDistance(b, p)))
+          << b << " " << p;
+    }
+    for (const AABB& o : {unit, nan_min, nan_max}) {
+      EXPECT_EQ(Bits(b.SquaredDistanceTo(o)),
+                Bits(ReferenceSquaredDistance(b, o)))
+          << b << " " << o;
+    }
+  }
 }
 
 TEST(AABBTest, InflatedAndTranslated) {
