@@ -26,7 +26,7 @@ constexpr std::size_t kMinEntriesForRelayout = 4096;
 /// don't re-layout on every insert) is re-laid-out regardless of absolute
 /// size. Only dead slots count — layout-policy slack (min_slack /
 /// slack_fraction) is recreated by every re-layout, so counting it would
-/// keep the trigger permanently armed for padded configs; and geometric
+/// keep the trigger permanently armed for slacked configs; and geometric
 /// relocation strands at most ~1.5x a region's abandoned total as extra
 /// slack, so capping dead bounds the shard's total waste at a constant
 /// multiple of live + policy slack anyway.
@@ -501,23 +501,27 @@ void MemGrid::RemoveFromCell(std::uint32_t cell, std::uint32_t pos) {
   --shards_[ref.shard].live;
 }
 
-void MemGrid::RelayoutShard(std::size_t shard, std::uint32_t demand_cell,
-                            std::uint32_t demand) {
+void MemGrid::RelayoutShard(std::size_t shard,
+                            std::span<const Demand> demands) {
   Shard& sh = shards_[shard];
   SIMSPATIAL_FAILPOINT("memgrid.relayout.alloc");
   const std::size_t ranks = sh.rank_end - sh.rank_begin;
   // First sweep (rank order): new start/cap per cell (old starts still
-  // needed, so stash the new offsets separately). Both sweeps allocate
+  // needed, so stash the new offsets separately). Every allocation happens
   // before the first in-place mutation, so a failure leaves the shard
   // exactly as it was (strong guarantee).
+  std::vector<std::uint32_t> extra(ranks, 0);
+  for (const Demand& d : demands) {
+    const std::size_t rank = CellRank(d.cell);
+    assert(rank >= sh.rank_begin && rank < sh.rank_end);
+    extra[rank - sh.rank_begin] += d.need;
+  }
   std::vector<std::uint32_t> new_start(ranks);
   std::size_t total = 0;
   for (std::size_t i = 0; i < ranks; ++i) {
     const std::size_t c = RankCell(sh.rank_begin + i);
-    const std::uint32_t want =
-        regions_[c].count + (c == demand_cell ? demand : 0);
     new_start[i] = static_cast<std::uint32_t>(total);
-    total += SlackedCap(want);
+    total += SlackedCap(regions_[c].count + extra[i]);
   }
   std::vector<Entry> fresh(total, Entry{});
   // Second sweep in rank order too: destination writes stream the fresh
@@ -530,7 +534,6 @@ void MemGrid::RelayoutShard(std::size_t shard, std::uint32_t demand_cell,
     const std::size_t rank = sh.rank_begin + i;
     const std::size_t c = RankCell(rank);
     Region& r = regions_[c];
-    const std::uint32_t want = r.count + (c == demand_cell ? demand : 0);
     const bool in_fresh = sh.compacting && rank < sh.cursor;
     const Entry* src = (in_fresh ? sh.fresh : sh.block).data() + r.start;
     Entry* dst = fresh.data() + new_start[i];
@@ -539,7 +542,7 @@ void MemGrid::RelayoutShard(std::size_t shard, std::uint32_t demand_cell,
       slots_[dst[k].id].pos = new_start[i] + k;
     }
     r.start = new_start[i];
-    r.cap = SlackedCap(want);
+    r.cap = SlackedCap(r.count + extra[i]);
   }
   sh.block = std::move(fresh);
   sh.fresh.clear();
@@ -555,10 +558,10 @@ void MemGrid::RelayoutShard(std::size_t shard, std::uint32_t demand_cell,
   ++update_stats_.relayouts;
 }
 
-void MemGrid::MaybeReclaimShard(std::size_t shard, std::uint32_t demand_cell,
-                                std::uint32_t demand, bool allow_churn) {
+bool MemGrid::MaybeReclaimShard(std::size_t shard,
+                                std::span<const Demand> demands) {
   Shard& sh = shards_[shard];
-  const auto triggered = [&sh, allow_churn] {
+  const auto triggered = [&sh] {
     // Mid-pass, block slots whose regions were already copied into fresh
     // are discarded for free at the swap — subtract them, or a pass ~1/3
     // done would read as 2x-grown and every pass would be force-finished
@@ -567,35 +570,52 @@ void MemGrid::MaybeReclaimShard(std::size_t shard, std::uint32_t demand_cell,
         sh.block.size() + sh.fresh.size() - sh.stale;
     const bool grown = footprint >= kMinEntriesForRelayout &&
                        footprint >= 2 * sh.layout_budget;
-    const bool churned = allow_churn &&
-                         sh.dead + sh.fresh_dead >
-                             kChurnWasteMultiple * sh.live + kChurnWasteFloor;
+    const bool churned =
+        sh.dead + sh.fresh_dead > kChurnWasteMultiple * sh.live +
+                                      kChurnWasteFloor;
     return grown || churned;
   };
-  if (!triggered()) return;
+  if (!triggered()) return false;
   if (sh.compacting) {
     FinishCompactionPass(shard);
     // The finished pass reclaimed the churn already in most cases.
-    if (!triggered()) return;
+    if (!triggered()) return true;
   }
-  RelayoutShard(shard, demand_cell, demand);
+  RelayoutShard(shard, demands);
+  return true;
 }
 
-std::uint32_t MemGrid::ReserveInCell(std::uint32_t cell, std::uint32_t need,
-                                     bool allow_churn) {
+std::uint32_t MemGrid::ReserveInCell(std::uint32_t cell, std::uint32_t need) {
   // Reclamation triggers run on every reservation, not only when the
   // region is out of slack: a shard whose waste outgrew the churn cap must
   // compact even if the next insert happens to have room (a small grid
   // that shrank after a burst would otherwise stay bloated forever).
-  const std::size_t shard = ShardOfCell(cell);
-  MaybeReclaimShard(shard, cell, need, allow_churn);
+  const Demand demand{cell, need};
+  MaybeReclaimShard(ShardOfCell(cell), std::span<const Demand>(&demand, 1));
+  return GrowRegion(cell, need);
+}
+
+void MemGrid::AppendSlots(std::vector<Entry>* space, std::size_t extra) {
+  const std::size_t size = space->size();
+  if (size + extra > space->capacity()) {
+    // Bounded growth: std::vector would double the block here, and a
+    // doubled block stays doubled — the footprint would answer one
+    // relocation with a whole block of capacity nothing ever uses.
+    space->reserve(size + extra + size / 8);
+    ++update_stats_.block_growths;
+    update_stats_.block_growth_entries += size;
+  }
+  space->resize(size + extra);
+}
+
+std::uint32_t MemGrid::GrowRegion(std::uint32_t cell, std::uint32_t need) {
   Region& r = regions_[cell];
   if (r.count + need <= r.cap) return r.start + r.count;
   // Out of slack: relocate just this region to fresh geometric (~1.5x)
   // capacity at the tail of the block it currently lives in — a hot cell
   // absorbing a stream of inserts relocates O(log n) times total. The
   // abandoned slots are dead space until the shard compacts.
-  Shard& sh = shards_[shard];
+  Shard& sh = shards_[ShardOfCell(cell)];
   const std::size_t rank = CellRank(cell);
   const bool in_fresh = sh.compacting && rank < sh.cursor;
   std::vector<Entry>& space = in_fresh ? sh.fresh : sh.block;
@@ -603,7 +623,7 @@ std::uint32_t MemGrid::ReserveInCell(std::uint32_t cell, std::uint32_t need,
   const std::uint32_t new_cap = std::max(SlackedCap(want),
                                          want + want / 2 + 2);
   const auto new_start = static_cast<std::uint32_t>(space.size());
-  space.resize(space.size() + new_cap);
+  AppendSlots(&space, new_cap);
   const Entry* src = space.data() + r.start;
   Entry* dst = space.data() + new_start;
   for (std::uint32_t i = 0; i < r.count; ++i) {
@@ -623,14 +643,33 @@ std::uint32_t MemGrid::ReserveInCell(std::uint32_t cell, std::uint32_t need,
   return r.start + r.count;
 }
 
+void MemGrid::ReserveInShard(std::size_t shard,
+                             std::span<const Demand> demands) {
+  // The triggers are evaluated before the reservations and once after
+  // them, so the relocations made here are reclaimed within the batch. A
+  // reclamation moves every region of the shard (a finished pass re-packs
+  // them with layout slack only), so the reservations are made again
+  // after one; a re-layout has honoured all of them already.
+  const auto reserve_all = [&] {
+    for (const Demand& d : demands) {
+      SIMSPATIAL_FAILPOINT("memgrid.apply.land");
+      GrowRegion(d.cell, d.need);
+    }
+  };
+  MaybeReclaimShard(shard, demands);
+  reserve_all();
+  if (MaybeReclaimShard(shard, demands)) reserve_all();
+}
+
 void MemGrid::BeginCompactionPass(std::size_t shard) {
   Shard& sh = shards_[shard];
   assert(!sh.compacting);
   SIMSPATIAL_FAILPOINT("memgrid.compact.begin");
   // Reserve generously so the pass appends without reallocating (a
-  // realloc's copy would be a stall of its own). Padded profiles add
-  // per-cell slack on top of live entries; churn during the pass can grow
-  // the target further — an overflow just falls back to vector growth.
+  // realloc's copy would be a stall of its own). Layout slack adds
+  // per-cell gaps on top of live entries; churn during the pass can grow
+  // the target further — an overflow falls back to bounded growth
+  // (AppendSlots).
   // The reservation happens into a local BEFORE any pass state flips: the
   // allocation is the only throwing step here, so a failure leaves the
   // shard idle and untouched.
@@ -674,7 +713,7 @@ std::uint32_t MemGrid::AdvanceCompaction(std::size_t shard,
       // VALID mid-pass state: this region's descriptor and the cursor are
       // untouched, so reads keep resolving every region correctly.
       SIMSPATIAL_FAILPOINT("memgrid.compact.advance");
-      sh.fresh.resize(sh.fresh.size() + cap);
+      AppendSlots(&sh.fresh, cap);
       const Entry* src = sh.block.data() + r.start;
       Entry* dst = sh.fresh.data() + new_start;
       for (std::uint32_t k = 0; k < r.count; ++k) {
@@ -743,7 +782,7 @@ void MemGrid::CompactStep() {
       ++update_stats_.compaction_aborts;
       if (sh.compacting) {
         try {
-          RelayoutShard(si, kNoCell, 0);
+          RelayoutShard(si, {});
         } catch (...) {
           // Even the fallback failed (sustained allocation failure). The
           // mid-pass state is still valid, so park the pass; the next
@@ -810,229 +849,171 @@ std::size_t MemGrid::ApplyUpdates(std::span<const ElementUpdate> updates) {
   struct Migration {
     ElementId id;
     AABB box;
-    std::uint32_t cell;
+    std::uint32_t cell;    ///< Destination (the id's latest update).
+    std::uint32_t source;  ///< The id's cell before the batch.
   };
-  // Transactional batch: every logical mutation below is journaled, and a
-  // failure ANYWHERE — classification worker, staging, landing-phase
-  // reservation — rolls the journal back and rethrows, leaving the grid
-  // in its pre-batch state. The pre-batch counters are an O(1) snapshot;
-  // all scratch is reserved up front so the mutation loops themselves
-  // never allocate through push_back.
-  const MemGridUpdateStats pre_stats = update_stats_;
-  const float pre_mhe = max_half_extent_;
+  // Reserve -> commit. Every step that can throw — scratch allocation, a
+  // classification worker, a destination reservation (relocation or shard
+  // re-layout) — runs before the first store to an entry or to slots_, so
+  // an aborted batch leaves every element as it was and needs no undo. A
+  // reservation may move regions (the layout changes, the elements do
+  // not), and its relocations and re-layouts stay counted.
+  float batch_mhe = max_half_extent_;
   std::vector<Migration> staged;
-  std::size_t applied = 0;
   try {
-    // Scratch allocation is part of the transaction: a bad_alloc here
-    // takes the (trivial) rollback path so update_stats_.rollbacks counts
-    // it like any other aborted batch.
     SIMSPATIAL_FAILPOINT("memgrid.apply.alloc");
-    journal_.clear();
-    journal_.reserve(updates.size());
-    staged.reserve(updates.size());
-    // Classification (destination cell + half-extent of every update)
-    // reads only the boxes, so it fans out across the pool; the
-    // structural phase below stays serial and is order-identical to the
-    // all-serial path — the parallel path is therefore deterministic by
-    // construction.
+    // Plan (read-only, parallel): per update, whether its element is live,
+    // its half-extent and — if its centre left the element's cell — a
+    // move. Comparing against the cell BEFORE the batch is exactly the
+    // commit's in-place/migration split for an id's first move; later
+    // updates of an already-moved id are listed too, so the demand below
+    // over-counts them, which is safe. The one duplicate-id case it does
+    // not count, a return to the source cell, lands in the slot the
+    // element's own move freed.
     const std::size_t chunks =
         par::ChunkCount(threads_, updates.size(), kParallelGrain);
-    if (chunks > 1) {
-      // Member scratch, not locals: a simulation calls this every step
-      // with a same-sized batch, so after the first step this path
-      // allocates nothing.
-      scratch_cells_.resize(updates.size());
-      scratch_mhe_.resize(updates.size());
-      par::ParallelChunks(
-          chunks, updates.size(),
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            SIMSPATIAL_FAILPOINT("memgrid.apply.classify.worker");
-            for (std::size_t i = begin; i < end; ++i) {
-              const AABB& box = updates[i].new_box;
-              scratch_cells_[i] =
-                  static_cast<std::uint32_t>(CellOf(box.Center()));
-              const Vec3 ext = box.Extent();
-              scratch_mhe_[i] = std::max({ext.x, ext.y, ext.z}) * 0.5f;
-            }
-          });
-    }
-    // One serial pass: in-place writes land immediately; migrations are
-    // staged so they can be grouped by destination cell. The
-    // max-half-extent bound is reduced once over the whole batch instead
-    // of per element. In-place stores are the §4.3 hot path, so the
-    // single-shard/idle case keeps a hoisted block pointer (nothing below
-    // resizes a block until the landing phase).
-    Entry* const fast_base = shards_.size() == 1 && !shards_[0].compacting
-                                 ? shards_[0].block.data()
-                                 : nullptr;
-    float batch_mhe = max_half_extent_;
-    for (std::size_t i = 0; i < updates.size(); ++i) {
-      const ElementUpdate& u = updates[i];
-      if (u.id >= slots_.size()) continue;
-      const Slot s = slots_[u.id];
-      if (s.cell == kNoCell) continue;
-      if (chunks > 1) {
-        batch_mhe = std::max(batch_mhe, scratch_mhe_[i]);
-      } else {
+    if (scratch_moves_.size() < chunks) scratch_moves_.resize(chunks);
+    std::vector<float> chunk_mhe(chunks, 0.0f);
+    par::ParallelChunks(chunks, updates.size(), [&](std::size_t w,
+                                                    std::size_t begin,
+                                                    std::size_t end) {
+      SIMSPATIAL_FAILPOINT("memgrid.apply.classify.worker");
+      std::vector<Move>& moves = scratch_moves_[w];
+      moves.clear();
+      float mhe = 0.0f;
+      for (std::size_t i = begin; i < end; ++i) {
+        const ElementUpdate& u = updates[i];
+        if (u.id >= slots_.size()) continue;
+        const std::uint32_t cell = slots_[u.id].cell;
+        if (cell == kNoCell) continue;
         const Vec3 ext = u.new_box.Extent();
-        batch_mhe = std::max({batch_mhe, ext.x * 0.5f, ext.y * 0.5f,
-                              ext.z * 0.5f});
+        mhe = std::max({mhe, ext.x * 0.5f, ext.y * 0.5f, ext.z * 0.5f});
+        const auto dest =
+            static_cast<std::uint32_t>(CellOf(u.new_box.Center()));
+        if (dest != cell) moves.push_back(Move{i, dest});
       }
-      ++applied;
-      ++update_stats_.updates;
-      const auto new_cell =
-          chunks > 1 ? scratch_cells_[i]
-                     : static_cast<std::uint32_t>(CellOf(u.new_box.Center()));
-      if (s.cell == kPendingCell) {
-        // Same id updated twice in one batch: overwrite the staged move.
-        // No journal record — the id's earlier kMigrateOut record already
-        // holds its pre-batch box.
-        staged[s.pos].box = u.new_box;
-        staged[s.pos].cell = new_cell;
-        continue;
+      chunk_mhe[w] = mhe;
+    });
+    std::vector<Move>& moves = scratch_moves_[0];
+    for (std::size_t w = 0; w < chunks; ++w) {
+      batch_mhe = std::max(batch_mhe, chunk_mhe[w]);
+      if (w > 0) {
+        moves.insert(moves.end(), scratch_moves_[w].begin(),
+                     scratch_moves_[w].end());
       }
-      Entry* e = fast_base != nullptr ? fast_base + s.pos
-                                      : SpaceOf(s.cell).data() + s.pos;
-      if (new_cell == s.cell) {
-        journal_.push_back(
-            UndoRecord{u.id, e->box, UndoKind::kInPlaceWrite});
-        e->box = u.new_box;
-        ++update_stats_.in_place;
-        continue;
-      }
+    }
+    // Demand per destination, in (rank, cell) order: shards are contiguous
+    // rank ranges, so each shard's demands form one slice.
+    std::vector<std::uint64_t> keys;
+    keys.reserve(moves.size());
+    for (const Move& m : moves) {
       SIMSPATIAL_FAILPOINT("memgrid.apply.stage");
-      journal_.push_back(UndoRecord{u.id, e->box, UndoKind::kMigrateOut});
-      RemoveFromCell(s.cell, s.pos);
-      slots_[u.id] =
-          Slot{kPendingCell, static_cast<std::uint32_t>(staged.size())};
-      staged.push_back(Migration{u.id, u.new_box, new_cell});
-      ++update_stats_.migrations;
+      keys.push_back(static_cast<std::uint64_t>(CellRank(m.cell)) << 32 |
+                     m.cell);
     }
-    max_half_extent_ = batch_mhe;
-
-    if (!staged.empty()) {
-      // Group migrations by destination: one capacity check and one tight
-      // write loop per destination cell.
-      std::sort(staged.begin(), staged.end(),
-                [](const Migration& a, const Migration& b) {
-                  return a.cell < b.cell;
-                });
-      std::size_t i = 0;
-      while (i < staged.size()) {
-        std::size_t j = i + 1;
-        while (j < staged.size() && staged[j].cell == staged[i].cell) ++j;
-        const std::uint32_t cell = staged[i].cell;
-        const auto run = static_cast<std::uint32_t>(j - i);
-        // Churn cap deferred: shard live counts are deflated by the still-
-        // staged migrations here, and a live-relative trigger would pay a
-        // spurious stop-the-shard re-layout mid-batch. The growth trigger
-        // (absolute footprint) stays armed.
-        SIMSPATIAL_FAILPOINT("memgrid.apply.land");
-        std::uint32_t pos = ReserveInCell(cell, run, /*allow_churn=*/false);
-        // Re-resolve after ReserveInCell: it may have relocated the
-        // region, re-laid-out the shard, or finished a compaction pass.
-        // Past the reservation this group's landing is plain stores —
-        // groups land atomically, so the rollback sees each id either
-        // still pending or fully landed.
-        const CellRef ref = ResolveCell(cell);
-        Region& r = regions_[cell];
-        for (std::size_t k = i; k < j; ++k, ++pos) {
-          ref.data[pos] = Entry{staged[k].box, staged[k].id};
-          slots_[staged[k].id] = Slot{cell, pos};
-        }
-        r.count += run;
-        shards_[ref.shard].live += run;
-        i = j;
-      }
-      // Re-run the deferred churn cap now that every migration has landed
-      // and the live counts are settled — one cheap sweep per batch.
-      for (std::size_t si = 0; si < shards_.size(); ++si) {
-        MaybeReclaimShard(si, kNoCell, 0);
+    std::sort(keys.begin(), keys.end());
+    std::vector<Demand> demands;
+    for (const std::uint64_t key : keys) {
+      const auto cell = static_cast<std::uint32_t>(key & 0xffffffffu);
+      if (!demands.empty() && demands.back().cell == cell) {
+        ++demands.back().need;
+      } else {
+        demands.push_back(Demand{cell, 1});
       }
     }
+    // Reserve every destination, shard by shard. Shards without demand
+    // still evaluate their triggers: one that only lost elements (to
+    // earlier batches' migrations, or to Erase) may be past the churn cap.
+    std::size_t first = 0;
+    for (std::size_t si = 0; si < shards_.size(); ++si) {
+      std::size_t last = first;
+      while (last < demands.size() &&
+             CellRank(demands[last].cell) < shards_[si].rank_end) {
+        ++last;
+      }
+      ReserveInShard(si, std::span<const Demand>(demands).subspan(
+                             first, last - first));
+      first = last;
+    }
+    staged.reserve(moves.size());
   } catch (...) {
-    RollbackBatch(pre_stats, pre_mhe);
-    journal_.clear();
+    ++update_stats_.rollbacks;
     throw;
   }
-  journal_.clear();
+
+  // Commit: plain stores from here on. In-place writes land immediately;
+  // migrations leave their source cell and are staged, so they can be
+  // grouped by destination. In-place stores are the §4.3 hot path, so the
+  // single-shard/idle case keeps a hoisted block pointer (nothing below
+  // moves a block).
+  const std::span<const Move> moves = scratch_moves_[0];
+  Entry* const fast_base = shards_.size() == 1 && !shards_[0].compacting
+                               ? shards_[0].block.data()
+                               : nullptr;
+  std::size_t applied = 0;
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    const ElementUpdate& u = updates[i];
+    if (u.id >= slots_.size()) continue;
+    const Slot s = slots_[u.id];
+    if (s.cell == kNoCell) continue;
+    ++applied;
+    const bool moved = next < moves.size() && moves[next].index == i;
+    const std::uint32_t dest = moved ? moves[next++].cell : s.cell;
+    if (s.cell == kPendingCell) {
+      // Same id updated again in one batch: overwrite the staged move (an
+      // update that stays in the source cell sends the element back).
+      Migration& m = staged[s.pos];
+      m.box = u.new_box;
+      m.cell = moved ? dest : m.source;
+      continue;
+    }
+    if (!moved) {
+      Entry* e = fast_base != nullptr ? fast_base + s.pos
+                                      : SpaceOf(s.cell).data() + s.pos;
+      e->box = u.new_box;
+      ++update_stats_.in_place;
+      continue;
+    }
+    RemoveFromCell(s.cell, s.pos);
+    slots_[u.id] =
+        Slot{kPendingCell, static_cast<std::uint32_t>(staged.size())};
+    staged.push_back(Migration{u.id, u.new_box, dest, s.cell});
+    ++update_stats_.migrations;
+  }
+  update_stats_.updates += applied;
+  max_half_extent_ = batch_mhe;
+  // Land each destination's group into the slots reserved for it: one
+  // tight write loop per destination cell.
+  std::sort(staged.begin(), staged.end(),
+            [](const Migration& a, const Migration& b) {
+              return a.cell < b.cell;
+            });
+  std::size_t i = 0;
+  while (i < staged.size()) {
+    std::size_t j = i + 1;
+    while (j < staged.size() && staged[j].cell == staged[i].cell) ++j;
+    const std::uint32_t cell = staged[i].cell;
+    const auto run = static_cast<std::uint32_t>(j - i);
+    Region& r = regions_[cell];
+    assert(r.count + run <= r.cap && "landing exceeds its reservation");
+    const CellRef ref = ResolveCell(cell);
+    std::uint32_t pos = r.start + r.count;
+    for (std::size_t k = i; k < j; ++k, ++pos) {
+      ref.data[pos] = Entry{staged[k].box, staged[k].id};
+      slots_[staged[k].id] = Slot{cell, pos};
+    }
+    r.count += run;
+    shards_[ref.shard].live += run;
+    i = j;
+  }
   // Budget-bounded incremental compaction: reclaim a few regions of
   // relocation churn per batch so steady-state mutation never triggers a
-  // stop-the-shard re-layout. Runs after the structural phase, serially —
-  // deterministic at every thread count. Outside the transaction: the
-  // batch is committed by now, and CompactStep absorbs its own failures
+  // stop-the-shard re-layout. Runs after the commit, serially —
+  // deterministic at every thread count — and absorbs its own failures
   // (re-layout fallback) instead of throwing.
   CompactStep();
   return applied;
-}
-
-void MemGrid::RollbackBatch(const MemGridUpdateStats& pre_stats,
-                            float pre_mhe) {
-  try {
-    // Reverse-order undo. Per id the journal holds zero or more
-    // kInPlaceWrite records followed by at most one kMigrateOut, so by
-    // the time an in-place record is undone, the id is guaranteed live in
-    // its original cell (its migration — if any — was undone first).
-    for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-      const UndoRecord& u = *it;
-      const Slot s = slots_[u.id];
-      if (u.kind == UndoKind::kInPlaceWrite) {
-        SpaceOf(s.cell)[s.pos].box = u.box;
-        continue;
-      }
-      // kMigrateOut: take the element out of wherever the batch left it
-      // (landed in its destination cell, or still pending — i.e. not in
-      // the grid at all) and re-insert it with its pre-batch box. The box
-      // centre maps back to the source cell by construction.
-      if (s.cell < kPendingCell) RemoveFromCell(s.cell, s.pos);
-      const auto cell = static_cast<std::uint32_t>(CellOf(u.box.Center()));
-      const std::uint32_t pos = ReserveInCell(cell, 1);
-      const CellRef ref = ResolveCell(cell);
-      ref.data[pos] = Entry{u.box, u.id};
-      ++regions_[cell].count;
-      ++shards_[ref.shard].live;
-      slots_[u.id] = Slot{cell, pos};
-    }
-    update_stats_ = pre_stats;
-    max_half_extent_ = pre_mhe;
-    ++update_stats_.rollbacks;
-  } catch (...) {
-    // The undo itself failed (a rollback-path reservation could not
-    // allocate — e.g. a mid-batch re-layout shrank the source cell's
-    // capacity below what the return trip needs). Escalate to the
-    // rebuild-from-scratch fallback.
-    RebuildFromJournal(pre_stats, pre_mhe);
-  }
-}
-
-void MemGrid::RebuildFromJournal(const MemGridUpdateStats& pre_stats,
-                                 float pre_mhe) {
-  // Last resort: reconstruct the pre-batch element set and Build it. The
-  // journal's FIRST record per id holds that id's pre-batch box; every
-  // other live id is unchanged (ids the batch left pending are journaled
-  // by construction, so nothing is lost). Build gives the strong
-  // guarantee a second time; if even IT fails — sustained allocation
-  // failure — the exception propagates and the grid is unusable, as
-  // documented in the header.
-  std::vector<std::uint8_t> seen(slots_.size(), 0);
-  std::vector<Element> survivors;
-  survivors.reserve(size_);
-  for (const UndoRecord& u : journal_) {
-    if (seen[u.id]) continue;
-    seen[u.id] = 1;
-    survivors.push_back(Element{u.id, u.box});
-  }
-  for (std::size_t id = 0; id < slots_.size(); ++id) {
-    if (seen[id]) continue;
-    const Slot s = slots_[id];
-    if (s.cell >= kPendingCell) continue;
-    survivors.push_back(
-        Element{static_cast<ElementId>(id), SpaceOf(s.cell)[s.pos].box});
-  }
-  Build(survivors);
-  update_stats_ = pre_stats;
-  max_half_extent_ = pre_mhe;
-  ++update_stats_.rollbacks;
 }
 
 template <typename Sink>

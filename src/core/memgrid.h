@@ -40,10 +40,13 @@
 // block, and every cell owns a contiguous region of its shard's block
 // described by `Region{start, cap, count}`: slots [start, start+count) are
 // live, [start+count, start+cap) are gap ("slack") slots available to
-// future inserts. By default regions carry zero slack, so a fresh shard is
-// a classical gap-free CSR block — measurably the fastest layout to
-// stream, since gaps cost query bandwidth in every cell while mutations
-// only need headroom in the few cells they actually touch (§4.3).
+// future inserts. By default every (re)layout leaves ceil(count/8) gap
+// slots per occupied region (`slack_fraction` 0.125): the few elements
+// that switch cell in a step (§4.3) then land in place instead of
+// relocating their whole destination region, which is what kept a
+// gap-free block re-laying itself out every few steps under a §4.1
+// update storm. `slack_fraction` 0 gives the classical gap-free CSR block
+// (one contiguous stream per shard) for callers that never mutate.
 //
 // Mutations never copy the index:
 //   * in-place update  — one box store at the slot given by the dense
@@ -54,7 +57,11 @@
 // capacity at its shard's tail (amortized O(1) even for a hot cell); the
 // abandoned slots are dead space — and the shard is no longer in pristine
 // rank order (Shape().layout_runs counts the streams a full scan now
-// needs). Relocation churn is reclaimed per shard, never globally:
+// needs). A relocation that does not fit the block's capacity grows it to
+// size + need + size/8, never by doubling, so the footprint tracks what
+// the churn actually uses; each such growth copies the block once and is
+// counted (update_stats().block_growths / block_growth_entries).
+// Relocation churn is reclaimed per shard, never globally:
 //   * stop-the-shard re-layout — when churn doubles a shard past the
 //     footprint the layout policy produced (or its dead slots outgrow a
 //     fixed multiple of the shard's live entries — small grids must not
@@ -100,18 +107,21 @@ struct MemGridConfig {
   /// least the dataset's maximum element extent (single-cell assignment
   /// needs cells no smaller than the elements).
   float cell_size = 0.0f;
-  /// Gap slots guaranteed per occupied cell after a (re)layout. The default
-  /// 0 keeps the block gap-free — fastest to stream; mutation headroom then
-  /// comes from geometric region relocation alone. Non-zero values trade
-  /// query bandwidth for fewer relocations under migration-heavy load (the
-  /// "memgrid-padded" registry profile).
+  /// Floor on the gap slots every occupied cell gets at a (re)layout
+  /// (Build, shard re-layout, compaction pass):
+  /// cap = count + max(min_slack, ceil(count * slack_fraction)).
   std::uint32_t min_slack = 0;
-  /// Extra layout slack proportional to a cell's population:
-  /// cap = count + max(min_slack, count * slack_fraction).
-  float slack_fraction = 0.0f;
+  /// Layout slack proportional to a cell's population. With the default
+  /// 0.125 nearly every migration of a §4.1 plasticity step lands in a gap
+  /// slot (1M neurons: no re-layout in 84 steps) for ~12% more entry slots
+  /// than a gap-free block; 1/16 left ~7x the dead slots under the same
+  /// walk. 0 lays out a gap-free block (one stream per shard, the fastest
+  /// full scan of a grid that is never mutated); mutation headroom then
+  /// comes from region relocation alone.
+  float slack_fraction = 0.125f;
   /// Worker threads for the whole-structure kernels — Build (per-thread
   /// counting scatter), SelfJoin (rank-range partitioned sweep) and
-  /// ApplyUpdates (parallel migration classification). The default
+  /// ApplyUpdates (parallel plan pass). The default
   /// (par::kThreadsAuto) resolves to std::thread::hardware_concurrency();
   /// 0 preserves the serial paths verbatim (1 is equivalent: a one-chunk
   /// partition IS the serial loop). Every parallel path is deterministic:
@@ -165,9 +175,9 @@ struct MemGridShape {
   /// Active cell-layout policy.
   CellLayout layout = CellLayout::kRowMajor;
   /// Number of contiguous-rank streams a full-universe range query would
-  /// scan: one per shard for a pristine gap-free grid, one per occupied
-  /// cell for padded profiles, and growing with relocation churn in
-  /// between.
+  /// scan: one per shard for a pristine gap-free grid (slack_fraction 0),
+  /// one per occupied cell when regions carry layout slack (the default),
+  /// and growing with relocation churn in between.
   std::size_t layout_runs = 0;
   /// Entry-block shards (MemGridConfig::shards clamped to the cell count).
   std::size_t shards = 1;
@@ -189,9 +199,16 @@ struct MemGridUpdateStats {
   std::uint64_t compaction_passes = 0;
   /// Occupied regions copied by incremental compaction steps.
   std::uint64_t compacted_regions = 0;
-  /// ApplyUpdates batches undone back to the pre-batch state after a
-  /// failure (the exception is rethrown to the caller either way).
+  /// ApplyUpdates batches aborted before their commit (the exception is
+  /// rethrown to the caller, and the elements are as before the batch).
   std::uint64_t rollbacks = 0;
+  /// Entry-block reallocations forced by a region relocation or a
+  /// compaction copy that did not fit the block's capacity. Each one grows
+  /// the block by size/8 beyond the request and copies it once.
+  std::uint64_t block_growths = 0;
+  /// Entries those reallocations copied in total: the O(n) cost the
+  /// slack and the bounded growth keep rare.
+  std::uint64_t block_growth_entries = 0;
   /// Incremental compaction passes that aborted mid-copy; the shard then
   /// falls back to a full re-layout (graceful degradation, not an error).
   std::uint64_t compaction_aborts = 0;
@@ -210,14 +227,12 @@ class MemGrid {
 
   // Failure contract (see ROADMAP.md "Failure contract"): Build, Insert,
   // Update and ApplyUpdates give the STRONG guarantee — on throw the grid
-  // is unchanged (same live elements, same boxes, CheckInvariants passes),
-  // except that max_half_extent_ may have widened (conservative: probes
-  // only get more complete) for the single-element ops. ApplyUpdates
-  // restores even that. The one documented exception: if the undo itself
-  // hits a second failure, ApplyUpdates falls back to a full rebuild of
-  // the pre-batch element set; if THAT also fails (sustained allocation
-  // failure), the exception propagates and the grid is unusable. Erase
-  // allocates nothing and cannot fail.
+  // holds the same live elements with the same boxes and CheckInvariants
+  // passes (its layout may differ: a reservation may already have moved
+  // regions), except that max_half_extent_ may have widened (conservative:
+  // probes only get more complete) for the single-element ops; an aborted
+  // ApplyUpdates leaves max_half_extent_ unchanged too. Erase allocates
+  // nothing and cannot fail.
 
   /// O(n) rebuild (counting scatter into the per-shard slack-CSR blocks).
   /// Strong guarantee: builds into fresh state and swaps, so a failure —
@@ -228,15 +243,20 @@ class MemGrid {
   void Insert(const Element& element);
   bool Erase(ElementId id);
   bool Update(ElementId id, const AABB& new_box);
-  /// Batch update path: in-place writes applied immediately, migrations
-  /// grouped by destination cell, one max-half-extent reduction, then one
-  /// budget-bounded incremental compaction step (if configured).
-  /// Transactional: every structural mutation is journaled, and a failure
-  /// at any point — classification worker, staging, landing-phase
-  /// reservation — undoes the batch and rethrows (update_stats().rollbacks
-  /// counts these). A failed incremental compaction step after the batch
-  /// commits is absorbed: the shard falls back to a full re-layout
-  /// (update_stats().compaction_aborts).
+  /// Batch update path, in two phases. Reserve: a read-only plan pass
+  /// (parallel on the pool) classifies every update, reduces the
+  /// max-half-extent bound and counts the incoming migrations of each
+  /// destination cell; each destination region then gets room for its
+  /// count (relocating it, or re-laying-out its shard with every pending
+  /// demand honoured). Commit: in-place box writes, swap-removes and
+  /// landings into the reserved slots — plain stores that cannot throw.
+  /// Everything that can fail (scratch allocation, a classification
+  /// worker, a reservation) runs before the first store to an entry or to
+  /// the slot map, so a failure rethrows with every element as it was and
+  /// no undo is needed (update_stats().rollbacks counts these batches).
+  /// One budget-bounded incremental compaction step (if configured)
+  /// follows the commit; a failure there is absorbed and the shard falls
+  /// back to a full re-layout (update_stats().compaction_aborts).
   std::size_t ApplyUpdates(std::span<const ElementUpdate> updates);
 
   void RangeQuery(const AABB& range, std::vector<ElementId>* out,
@@ -387,29 +407,40 @@ class MemGrid {
   /// erase/migrate helper); fixes the displaced entry's slot map entry and
   /// the shard's live count.
   void RemoveFromCell(std::uint32_t cell, std::uint32_t pos);
-  /// Make room for `need` more entries in `cell`'s region (relocating it
-  /// within its shard, or re-laying-out that one shard if its waste got
-  /// too high), then return the first free position. Invalidates no
-  /// positions outside the relocated region except under a shard
-  /// re-layout, which fixes `slots_`. The caller must re-resolve the
-  /// region's base pointer afterwards. `allow_churn=false` defers the
-  /// churn cap (not the growth trigger): ApplyUpdates' landing phase runs
-  /// while staged migrations deflate shard live counts, which would
-  /// false-trigger the live-relative cap mid-batch.
-  std::uint32_t ReserveInCell(std::uint32_t cell, std::uint32_t need,
-                              bool allow_churn = true);
+  /// `need` more entries guaranteed for one destination cell — the unit
+  /// of ApplyUpdates' reservation and of a re-layout's extra capacity.
+  struct Demand {
+    std::uint32_t cell;
+    std::uint32_t need;
+  };
+  /// Single-op reservation (Insert / Update): evaluate `cell`'s shard's
+  /// reclamation triggers, then GrowRegion. Returns the first free
+  /// position; the caller must re-resolve the region's base pointer.
+  std::uint32_t ReserveInCell(std::uint32_t cell, std::uint32_t need);
+  /// Make room for `need` more entries in `cell`'s region, relocating it to
+  /// its block's tail when its slack is short, and return the first free
+  /// position. Invalidates no positions outside the relocated region.
+  std::uint32_t GrowRegion(std::uint32_t cell, std::uint32_t need);
+  /// Append `extra` value-initialised slots to `space`. A block that must
+  /// reallocate grows to size + extra + size/8 (never doubling), counted
+  /// in update_stats_.block_growths / block_growth_entries.
+  void AppendSlots(std::vector<Entry>* space, std::size_t extra);
+  /// ApplyUpdates' reservation for one shard: room for every demand of
+  /// `demands` (the shard's destinations), with the shard's reclamation
+  /// triggers evaluated before and after.
+  void ReserveInShard(std::size_t shard, std::span<const Demand> demands);
   /// Evaluate the shard's reclamation triggers (growth past 2x layout
-  /// budget, or — when `allow_churn` — relocation-abandoned dead slots
-  /// past a fixed multiple of live entries, the small-grid churn cap;
-  /// layout-policy slack never counts) and re-layout the shard when one
-  /// fires. An in-flight compaction pass is finished first — reclaiming
-  /// is then usually already done and the re-layout skipped.
-  void MaybeReclaimShard(std::size_t shard, std::uint32_t demand_cell,
-                         std::uint32_t demand, bool allow_churn = true);
+  /// budget, or relocation-abandoned dead slots past a fixed multiple of
+  /// live entries, the small-grid churn cap; layout-policy slack never
+  /// counts) and re-layout the shard when one fires, honouring `demands`.
+  /// An in-flight compaction pass is finished first — reclaiming is then
+  /// usually already done and the re-layout skipped. Returns whether the
+  /// shard's regions moved.
+  bool MaybeReclaimShard(std::size_t shard, std::span<const Demand> demands);
   /// Stop-the-shard O(n/shards) re-layout in rank order with fresh slack;
-  /// `demand_cell` (if valid) gets `demand` extra guaranteed slots.
-  void RelayoutShard(std::size_t shard, std::uint32_t demand_cell,
-                     std::uint32_t demand);
+  /// every cell of `demands` (all in this shard) gets room for its `need`
+  /// extra entries on top of its live ones.
+  void RelayoutShard(std::size_t shard, std::span<const Demand> demands);
   /// Start an incremental compaction pass on `shard` (reserve the fresh
   /// block, park the cursor at rank_begin).
   void BeginCompactionPass(std::size_t shard);
@@ -520,27 +551,6 @@ class MemGrid {
   void BuildSerial(std::span<const Element> elements);
   void BuildParallel(std::span<const Element> elements, std::size_t chunks);
 
-  /// ApplyUpdates undo journal: one record per logical mutation, in batch
-  /// order. An element's pre-batch box is its FIRST record's box; reverse
-  /// iteration undoes the batch step by step. The box alone locates the
-  /// source cell of a migration (centre assignment is a pure function of
-  /// the box), so no cell/pos needs recording — positions would be stale
-  /// after a mid-batch re-layout anyway.
-  enum class UndoKind : std::uint8_t { kInPlaceWrite, kMigrateOut };
-  struct UndoRecord {
-    ElementId id;
-    AABB box;  ///< The element's box BEFORE the mutation.
-    UndoKind kind;
-  };
-  /// Undo the journaled batch in reverse (restoring `pre_stats` /
-  /// `pre_mhe`); falls back to RebuildFromJournal if the undo itself
-  /// fails. Never throws on its own — a double failure escapes from the
-  /// rebuild's Build call only.
-  void RollbackBatch(const MemGridUpdateStats& pre_stats, float pre_mhe);
-  /// Last-resort rollback: reconstruct the pre-batch element set (journal
-  /// first-records override the current grid content) and Build it.
-  void RebuildFromJournal(const MemGridUpdateStats& pre_stats, float pre_mhe);
-
   /// Populate the cell<->rank maps for the curve layouts (sort the cell
   /// lattice by curve key once per grid; also fixes curve_bits_). kRowMajor
   /// keeps both maps empty: rank IS the cell index.
@@ -582,14 +592,16 @@ class MemGrid {
   float max_half_extent_ = 0.0f;
   MemGridUpdateStats update_stats_;
 
-  /// Reused scratch for ApplyUpdates' parallel classification phase
-  /// (destination cell + half-extent per update), kept across batches so
-  /// the per-step update path stays allocation-free.
-  std::vector<std::uint32_t> scratch_cells_;
-  std::vector<float> scratch_mhe_;
-  /// ApplyUpdates undo journal (member scratch: reserved once per batch
-  /// up front, so journal pushes never throw mid-mutation).
-  std::vector<UndoRecord> journal_;
+  /// An update whose destination cell differs from its element's cell
+  /// before the batch: its index in the batch and that cell.
+  struct Move {
+    std::size_t index;
+    std::uint32_t cell;
+  };
+  /// Reused per-chunk move lists of ApplyUpdates' plan pass, kept across
+  /// batches so the per-step update path stays allocation-free. Chunk 0's
+  /// list ends up holding the whole batch's moves in batch order.
+  std::vector<std::vector<Move>> scratch_moves_;
   /// Reused scratch for BuildParallel (per-element cell ids, per-chunk
   /// count/cursor arrays) — a rebuild-every-step policy calls Build per
   /// step, so its scratch is kept across calls too.

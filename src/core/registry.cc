@@ -312,35 +312,25 @@ class MultiGridAdapter final : public SpatialIndex {
 
 class MemGridAdapter final : public SpatialIndex {
  public:
-  /// `slack` layers the slack-CSR layout knobs over the computed cell size:
-  /// the default profile lays out a gap-free block (fastest streaming;
-  /// migrations relocate their destination region on demand), the "padded"
-  /// profile pre-reserves gap slots per cell so migrations land in place —
-  /// registering both keeps each structural path covered by the
-  /// differential batteries. `layout` fixes the cell-region storage order:
-  /// the base profiles take it from IndexOptions, the "memgrid-morton" /
-  /// "memgrid-hilbert" profiles pin their curve so every battery that
-  /// sweeps the registry exercises every rank-order code path. `shards` /
-  /// `compact` split the entry block into rank-range shards with an
-  /// incremental compaction budget: the base profiles take both from
-  /// IndexOptions, the "memgrid-sharded" profile pins a multi-shard +
-  /// incremental configuration so the sharded storage and the two-block
-  /// compaction reads run through every registry battery.
-  struct SlackProfile {
-    std::uint32_t min_slack;
-    float slack_fraction;
-  };
-  MemGridAdapter(std::string name, SlackProfile slack, CellLayout layout,
-                 std::uint32_t shards, std::uint32_t compact,
-                 const IndexOptions& options)
-      : name_(std::move(name)), slack_(slack), layout_(layout),
-        shards_count_(shards), compact_(compact), threads_(options.threads) {}
+  /// Every profile takes MemGridConfig's storage defaults (layout slack
+  /// included) over the computed cell size. `layout` fixes the
+  /// cell-region storage order: the base profile takes it from
+  /// IndexOptions, the "memgrid-morton" / "memgrid-hilbert" profiles pin
+  /// their curve so every battery that sweeps the registry exercises every
+  /// rank-order code path. `shards` / `compact` split the entry block into
+  /// rank-range shards with an incremental compaction budget: the base
+  /// profile takes both from IndexOptions, the "memgrid-sharded" profile
+  /// pins a multi-shard + incremental configuration so the sharded storage
+  /// and the two-block compaction reads run through every registry
+  /// battery.
+  MemGridAdapter(std::string name, CellLayout layout, std::uint32_t shards,
+                 std::uint32_t compact, const IndexOptions& options)
+      : name_(std::move(name)), layout_(layout), shards_count_(shards),
+        compact_(compact), threads_(options.threads) {}
   std::string_view name() const override { return name_; }
   void Build(std::span<const Element> elements, const AABB& u) override {
     MemGridConfig cfg;
     cfg.cell_size = DefaultCell(elements, u);
-    cfg.min_slack = slack_.min_slack;
-    cfg.slack_fraction = slack_.slack_fraction;
     cfg.threads = threads_;
     cfg.layout = layout_;
     cfg.shards = shards_count_;
@@ -391,7 +381,6 @@ class MemGridAdapter final : public SpatialIndex {
 
  private:
   std::string name_;
-  SlackProfile slack_;
   CellLayout layout_;
   std::uint32_t shards_count_;
   std::uint32_t compact_;
@@ -490,27 +479,19 @@ const std::vector<RegistryEntry>& Registry() {
       {"memgrid",
        [](const IndexOptions& o) {
          return std::make_unique<MemGridAdapter>(
-             "memgrid", MemGridAdapter::SlackProfile{0, 0.0f}, o.layout,
-             o.shards, o.compact_regions_per_batch, o);
-       }},
-      {"memgrid-padded",
-       [](const IndexOptions& o) {
-         return std::make_unique<MemGridAdapter>(
-             "memgrid-padded", MemGridAdapter::SlackProfile{2, 0.25f},
-             o.layout, o.shards, o.compact_regions_per_batch, o);
+             "memgrid", o.layout, o.shards, o.compact_regions_per_batch, o);
        }},
       {"memgrid-morton",
        [](const IndexOptions& o) {
          return std::make_unique<MemGridAdapter>(
-             "memgrid-morton", MemGridAdapter::SlackProfile{0, 0.0f},
-             CellLayout::kMorton, o.shards, o.compact_regions_per_batch, o);
+             "memgrid-morton", CellLayout::kMorton, o.shards,
+             o.compact_regions_per_batch, o);
        }},
       {"memgrid-hilbert",
        [](const IndexOptions& o) {
          return std::make_unique<MemGridAdapter>(
-             "memgrid-hilbert", MemGridAdapter::SlackProfile{0, 0.0f},
-             CellLayout::kHilbert, o.shards, o.compact_regions_per_batch,
-             o);
+             "memgrid-hilbert", CellLayout::kHilbert, o.shards,
+             o.compact_regions_per_batch, o);
        }},
       {"memgrid-sharded",
        [](const IndexOptions& o) {
@@ -519,8 +500,7 @@ const std::vector<RegistryEntry>& Registry() {
          // across the differential batteries instead of only in dedicated
          // tests.
          return std::make_unique<MemGridAdapter>(
-             "memgrid-sharded", MemGridAdapter::SlackProfile{0, 0.0f},
-             o.layout, 5, 48, o);
+             "memgrid-sharded", o.layout, 5, 48, o);
        }},
       {"lsh",
        [](const IndexOptions&) { return std::make_unique<LshAdapter>(); }},

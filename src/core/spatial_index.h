@@ -133,9 +133,9 @@ struct IndexOptions {
   /// Worker threads for parallel-capable structures: par::kThreadsAuto
   /// resolves to the hardware concurrency, 0 forces the serial paths.
   std::uint32_t threads = par::kThreadsAuto;
-  /// Cell-region storage order for the base MemGrid profiles ("memgrid",
-  /// "memgrid-padded"). The dedicated "memgrid-morton"/"memgrid-hilbert"
-  /// profiles pin their own curve and ignore this knob.
+  /// Cell-region storage order for the base MemGrid profile ("memgrid",
+  /// and "memgrid-sharded"). The dedicated "memgrid-morton" /
+  /// "memgrid-hilbert" profiles pin their own curve and ignore this knob.
   CellLayout layout = CellLayout::kRowMajor;
   /// Entry-block shards for the MemGrid profiles: contiguous layout-rank
   /// ranges with independent storage and compaction, bounding the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace simspatial::pam {
 
@@ -18,6 +19,25 @@ LooseOctree::LooseOctree(const AABB& universe, LooseOctreeOptions options)
   const Vec3 ext = universe.Extent();
   root_side_ = std::max({ext.x, ext.y, ext.z, 1e-6f});
   options_.levels = std::max<std::uint32_t>(1, options_.levels);
+  ResetKeyBoxes();
+}
+
+void LooseOctree::ResetKeyBoxes() {
+  constexpr std::int32_t kHi = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kLo = std::numeric_limits<std::int32_t>::min();
+  key_boxes_.assign(options_.levels, KeyBox{CellKey{0, kHi, kHi, kHi},
+                                            CellKey{0, kLo, kLo, kLo}});
+}
+
+void LooseOctree::Place(const CellKey& key, ElementId id) {
+  cells_[key].push_back(id);
+  KeyBox& b = key_boxes_[key.level];
+  b.lo.x = std::min(b.lo.x, key.x);
+  b.lo.y = std::min(b.lo.y, key.y);
+  b.lo.z = std::min(b.lo.z, key.z);
+  b.hi.x = std::max(b.hi.x, key.x);
+  b.hi.y = std::max(b.hi.y, key.y);
+  b.hi.z = std::max(b.hi.z, key.z);
 }
 
 float LooseOctree::CellSize(std::uint32_t level) const {
@@ -53,6 +73,7 @@ LooseOctree::CellKey LooseOctree::CellFor(const AABB& box) const {
 void LooseOctree::Build(std::span<const Element> elements) {
   cells_.clear();
   placement_.clear();
+  ResetKeyBoxes();
   placement_.reserve(elements.size());
   for (const Element& e : elements) Insert(e);
 }
@@ -60,7 +81,7 @@ void LooseOctree::Build(std::span<const Element> elements) {
 void LooseOctree::Insert(const Element& element) {
   assert(placement_.find(element.id) == placement_.end());
   const CellKey key = CellFor(element.box);
-  cells_[key].push_back(element.id);
+  Place(key, element.id);
   placement_.emplace(element.id, Placement{element.box, key});
 }
 
@@ -93,7 +114,7 @@ bool LooseOctree::Update(ElementId id, const AABB& new_box) {
   *pos = old_vec.back();
   old_vec.pop_back();
   if (old_vec.empty()) cells_.erase(old_it);
-  cells_[new_cell].push_back(id);
+  Place(new_cell, id);
   it->second.box = new_box;
   it->second.cell = new_cell;
   return true;
@@ -115,11 +136,20 @@ void LooseOctree::RangeQuery(const AABB& range, std::vector<ElementId>* out,
   for (std::uint32_t level = 0; level < options_.levels; ++level) {
     // A cell can hold elements reaching half a cell beyond its bounds, so
     // the probe range is inflated by half a cell (the loose overhead).
+    // The span is then clamped to the level's key box: no cell outside it
+    // holds an element.
     const float half = CellSize(level) * 0.5f;
-    const CellKey lo = CellAt(level, range.min - Vec3(half, half, half));
-    const CellKey hi = CellAt(level, range.max + Vec3(half, half, half));
-    // An inverted span probes no cell (and must not feed a negative span
-    // into the structure_tests product below).
+    const KeyBox& box = key_boxes_[level];
+    CellKey lo = CellAt(level, range.min - Vec3(half, half, half));
+    CellKey hi = CellAt(level, range.max + Vec3(half, half, half));
+    lo.x = std::max(lo.x, box.lo.x);
+    lo.y = std::max(lo.y, box.lo.y);
+    lo.z = std::max(lo.z, box.lo.z);
+    hi.x = std::min(hi.x, box.hi.x);
+    hi.y = std::min(hi.y, box.hi.y);
+    hi.z = std::min(hi.z, box.hi.z);
+    // An inverted span (or an empty level) probes no cell, and must not
+    // feed a negative span into the structure_tests product below.
     if (hi.x < lo.x || hi.y < lo.y || hi.z < lo.z) continue;
     for (std::int32_t x = lo.x; x <= hi.x; ++x) {
       for (std::int32_t y = lo.y; y <= hi.y; ++y) {
@@ -174,6 +204,9 @@ void LooseOctree::KnnQuery(const Vec3& p, std::size_t k,
       cand.emplace_back(b.SquaredDistanceTo(p), id);
       if (counters != nullptr) counters->distance_computations += 1;
     }
+    // Every element is a candidate: the k nearest are among them, however
+    // far the cube would still have to grow to reach max_radius.
+    if (cand.size() == placement_.size()) break;
     if (cand.size() >= k) {
       std::nth_element(cand.begin(), cand.begin() + (k - 1), cand.end(),
                        [](const auto& a, const auto& b) {

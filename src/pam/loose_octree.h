@@ -77,14 +77,30 @@ class LooseOctree {
     CellKey cell;
   };
 
+  /// Key box [lo, hi] of the cells one level has held since the last
+  /// Build: grown on every placement, never shrunk (a superset still
+  /// bounds the level's cells). Empty while lo > hi.
+  struct KeyBox {
+    CellKey lo;
+    CellKey hi;
+  };
+
   CellKey CellFor(const AABB& box) const;
   CellKey CellAt(std::uint32_t level, const Vec3& p) const;
+  /// Place `id` in `key`'s cell and widen the level's key box.
+  void Place(const CellKey& key, ElementId id);
+  /// Forget every level's key box.
+  void ResetKeyBoxes();
 
   AABB universe_;
   LooseOctreeOptions options_;
   float root_side_;
   std::unordered_map<CellKey, std::vector<ElementId>, CellKeyHash> cells_;
   std::unordered_map<ElementId, Placement> placement_;
+  /// Per level; RangeQuery clamps each level's probed span to it, so a
+  /// probe far larger than the data (a k >= n kNN cube) walks only keys
+  /// that can hold an element.
+  std::vector<KeyBox> key_boxes_;
 };
 
 }  // namespace simspatial::pam

@@ -15,6 +15,7 @@
 #include "core/spatial_index.h"
 #include "datagen/neuron.h"
 #include "datagen/plasticity.h"
+#include "grid/resolution.h"
 
 namespace simspatial::core {
 namespace {
@@ -104,6 +105,125 @@ TEST(MemGridTest, PlasticityUpdatesAreOverwhelminglyInPlace) {
   EXPECT_GT(g.update_stats().InPlaceFraction(), 0.97);
   std::string err;
   EXPECT_TRUE(g.CheckInvariants(&err)) << err;
+}
+
+// The registry's cell rule (DefaultCell in registry.cc, file-local there),
+// restated so a test can build the registry's grid as a bare MemGrid and
+// read its update stats.
+float RegistryCell(const std::vector<Element>& elements, const AABB& u) {
+  const auto stats = grid::DatasetStats::Compute(elements, u);
+  const float chosen =
+      grid::ChooseCellSize(stats, std::max(1e-3, stats.mean_extent * 8.0));
+  return std::max(chosen, static_cast<float>(stats.max_extent) * 1.01f);
+}
+
+// The §4.1 update storm at the registry's default configuration: layout
+// slack absorbs every step's migrations, so churn never re-lays-out the
+// grid, the footprint stays near its post-build size and the block is
+// reallocated at most twice. A bare MemGrid twin with MemGridConfig's
+// defaults runs alongside for the update stats; equal MemoryBytes after
+// the build and at the end show the registry grid is that grid.
+TEST(MemGridTest, DefaultConfigAbsorbsPlasticityChurn) {
+  auto ds = datagen::GenerateNeuronsWithSize(225000, 12345);
+  ds.elements.resize(200000);
+  std::vector<Element>& mirror = ds.elements;
+  auto index = MakeIndex("memgrid");
+  index->Build(mirror, ds.universe);
+  MemGrid twin(ds.universe,
+               MemGridConfig{.cell_size = RegistryCell(mirror, ds.universe)});
+  twin.Build(mirror);
+  const std::size_t built = index->MemoryBytes();
+  ASSERT_EQ(twin.Shape().bytes, built);
+
+  datagen::PlasticityModel model(datagen::PlasticityConfig{}, ds.universe);
+  std::vector<ElementUpdate> updates;
+  for (int step = 0; step < 40; ++step) {
+    model.Step(&mirror, &updates);
+    ASSERT_EQ(index->ApplyUpdates(updates), updates.size());
+    ASSERT_EQ(twin.ApplyUpdates(updates), updates.size());
+  }
+  const MemGridUpdateStats& stats = twin.update_stats();
+  EXPECT_GT(stats.migrations, 0u);
+  EXPECT_EQ(stats.relayouts, 0u);
+  EXPECT_LE(stats.block_growths, 2u);
+  EXPECT_EQ(twin.Shape().bytes, index->MemoryBytes());
+  EXPECT_LE(static_cast<double>(index->MemoryBytes()),
+            1.15 * static_cast<double>(built));
+
+  std::string err;
+  ASSERT_TRUE(index->CheckInvariants(&err)) << err;
+  Rng rng(88);
+  for (int q = 0; q < 20; ++q) {
+    const Vec3 p = rng.PointIn(ds.universe);
+    const AABB range = AABB::FromCenterHalfExtent(p, rng.Uniform(2.0f, 20.0f));
+    std::vector<ElementId> got;
+    index->RangeQuery(range, &got);
+    EXPECT_EQ(Sorted(got), ScanRange(mirror, range)) << "range q" << q;
+    index->KnnQuery(p, 10, &got);
+    EXPECT_EQ(got, ScanKnn(mirror, p, 10)) << "knn q" << q;
+  }
+}
+
+// One batch whose migrations target every cell of a small grid, each by
+// more than its layout slack: the relocations it reserves double every
+// shard's footprint, so a re-layout fires in the middle of the
+// reservation step. That re-layout must make room for every pending
+// demand of its shard — the restarted reservations then find room
+// without relocating (no dead slots afterwards) — and every landing must
+// fit. Duplicate ids (moved twice; moved and sent back to their source
+// cell) and an unknown id ride along. Pre- and post-batch oracles.
+TEST(MemGridTest, ReservationSurvivesARelayoutMidBatch) {
+  const auto elems = GenerateUniformBoxes(12000, kUniverse, 0.05f, 0.5f);
+  const auto check = [&](const MemGrid& g, const std::vector<Element>& want,
+                         const std::string& label) {
+    std::string err;
+    ASSERT_TRUE(g.CheckInvariants(&err)) << label << ": " << err;
+    ASSERT_EQ(g.size(), want.size()) << label;
+    Rng rng(90);
+    for (int q = 0; q < 12; ++q) {
+      const Vec3 p = rng.PointIn(kUniverse);
+      const AABB range = AABB::FromCenterHalfExtent(p, rng.Uniform(1, 15));
+      std::vector<ElementId> got;
+      g.RangeQuery(range, &got);
+      ASSERT_EQ(Sorted(got), ScanRange(want, range)) << label << " q" << q;
+      g.KnnQuery(p, 9, &got);
+      ASSERT_EQ(got, ScanKnn(want, p, 9)) << label << " q" << q;
+    }
+  };
+  for (const std::uint32_t shards : {1u, 5u}) {
+    for (const std::uint32_t threads : {0u, 2u}) {
+      const std::string label = "shards=" + std::to_string(shards) +
+                                " t=" + std::to_string(threads);
+      MemGrid g(kUniverse, MemGridConfig{.cell_size = 12.5f,
+                                         .threads = threads,
+                                         .shards = shards});
+      g.Build(elems);
+      check(g, elems, label + " pre");
+      std::vector<Element> mirror = elems;
+      std::vector<ElementUpdate> batch;
+      Rng rng(91);
+      for (Element& e : mirror) {
+        if (e.id % 2 != 0) continue;
+        const AABB from = e.box;
+        e.box = AABB::FromCenterHalfExtent(rng.PointIn(kUniverse),
+                                           rng.Uniform(0.05f, 0.5f));
+        batch.emplace_back(e.id, e.box);
+        if (e.id % 10 == 0) {
+          // Moved again: to a third cell, or back where it started.
+          e.box = e.id % 20 == 0 ? from.Translated(Vec3(0.01f, 0, 0))
+                                 : AABB::FromCenterHalfExtent(
+                                       rng.PointIn(kUniverse), 0.2f);
+          batch.emplace_back(e.id, e.box);
+        }
+      }
+      batch.emplace_back(999999, AABB::FromPoint(Vec3(1, 1, 1)));
+      const std::uint64_t relayouts = g.update_stats().relayouts;
+      ASSERT_EQ(g.ApplyUpdates(batch), batch.size() - 1) << label;
+      EXPECT_EQ(g.update_stats().relayouts - relayouts, shards) << label;
+      EXPECT_EQ(g.Shape().dead_slots, 0u) << label;
+      check(g, mirror, label + " post");
+    }
+  }
 }
 
 // The per-cell distance lower bound must stop the best-first kNN walk
@@ -200,15 +320,13 @@ TEST(MemGridTest, KnnDegenerateInputsStayExactAcrossLayouts) {
   }
 }
 
-// The five MemGrid registry profiles (memgrid, memgrid-padded,
-// memgrid-morton, memgrid-hilbert, memgrid-sharded) at a fixed cell size,
-// so a test can read back the lattice the kNN walk bounds.
+// The four MemGrid registry profiles (memgrid, memgrid-morton,
+// memgrid-hilbert, memgrid-sharded) at a fixed cell size, so a test can
+// read back the lattice the kNN walk bounds.
 std::vector<std::pair<std::string, MemGridConfig>> MemGridProfiles(
     float cell) {
   return {
       {"memgrid", MemGridConfig{.cell_size = cell}},
-      {"memgrid-padded", MemGridConfig{.cell_size = cell, .min_slack = 2,
-                                       .slack_fraction = 0.25f}},
       {"memgrid-morton",
        MemGridConfig{.cell_size = cell, .layout = CellLayout::kMorton}},
       {"memgrid-hilbert",
@@ -376,7 +494,8 @@ std::vector<Element> KnnTieDataset(std::size_t filler) {
 // single-cell grid and (distance, id) ties at the k-th position split
 // across cells — at shards {1, 5} x threads {0, 2}, pristine and
 // mid-compaction, on every layout. KnnQueryBatch slots must equal the
-// per-probe calls, counters included.
+// per-probe calls, counters included. The grids are gap-free: layout
+// slack would absorb the churn that has to reach a mid-compaction state.
 TEST(MemGridTest, KnnMatchesScanKnnAtTheWalksEdges) {
   struct Dataset {
     const char* name;
@@ -424,6 +543,7 @@ TEST(MemGridTest, KnnMatchesScanKnnAtTheWalksEdges) {
                 (mid_compaction ? " mid-compaction" : " pristine");
             MemGrid g(kUniverse,
                       MemGridConfig{.cell_size = ds.cell,
+                                    .slack_fraction = 0,
                                     .threads = threads,
                                     .layout = layout,
                                     .shards = shards,
@@ -946,12 +1066,10 @@ TEST_P(MemGridMixedWorkloadTest, PhasesStayExactAndInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(
     SlackProfiles, MemGridMixedWorkloadTest,
-    ::testing::Values(
-        MemGridConfig{.cell_size = 4.0f},
-        MemGridConfig{.cell_size = 4.0f, .min_slack = 2,
-                      .slack_fraction = 0.25f}),
+    ::testing::Values(MemGridConfig{.cell_size = 4.0f},
+                      MemGridConfig{.cell_size = 4.0f, .slack_fraction = 0}),
     [](const ::testing::TestParamInfo<MemGridConfig>& info) {
-      return info.param.min_slack == 0 ? "compact" : "padded";
+      return info.param.slack_fraction == 0 ? "gapfree" : "slacked";
     });
 
 TEST(MemGridTest, RebuildIsCheaperThanPerElementWork) {
@@ -1087,8 +1205,7 @@ INSTANTIATE_TEST_SUITE_P(AllIndexes, RegistryDifferentialTest,
 // transitively cross-checks the profiles against each other.
 TEST(RegistryTest, SeededMixedWorkloadDifferentialFuzz) {
   const std::vector<std::string> profiles = {
-      "memgrid",          "memgrid-padded",
-      "memgrid-morton",   "memgrid-hilbert",
+      "memgrid",          "memgrid-morton",   "memgrid-hilbert",
       "memgrid-sharded",  "rtree",
       "rtree-packed-str",
       "rtree-packed-hilbert", "linear-scan"};

@@ -247,5 +247,39 @@ TEST(LooseOctreeTest, LoosenessCausesExtraTests) {
   EXPECT_GT(c.element_tests, out.size());
 }
 
+// A k >= n kNN probe outside the universe: the expanding cube must stop
+// once it holds every element, and each level's probed span must stay
+// within the keys its cells occupy. Without either, the cube doubles up
+// to the universe's far corner and walks every empty key of every level
+// on the way.
+TEST(LooseOctreeTest, KnnWithKAtLeastNStaysWithinAStructureBudget) {
+  const AABB universe(Vec3(0, 0, 0), Vec3(10, 10, 10));
+  Rng rng(61);
+  std::vector<Element> elems;
+  for (ElementId i = 0; i < 300; ++i) {
+    Vec3 c = rng.PointIn(universe);
+    if (i % 4 == 0) c.z = 5.0f;
+    elems.emplace_back(
+        i, AABB::FromCenterHalfExtent(c, i % 2 == 0 ? 0.0f : 0.4f));
+  }
+  LooseOctree t(universe);
+  t.Build(elems);
+  // Budget: one walk over every in-universe key of every level.
+  std::uint64_t lattice_keys = 0;
+  for (std::uint32_t level = 0; level < t.levels(); ++level) {
+    lattice_keys += std::uint64_t{1} << (3 * level);
+  }
+  for (const Vec3& p : {Vec3(-4, 5, 20), Vec3(5, 5, 5), Vec3(0, 0, 0)}) {
+    for (const std::size_t k : {elems.size(), elems.size() + 10}) {
+      QueryCounters c;
+      std::vector<ElementId> got;
+      t.KnnQuery(p, k, &got, &c);
+      EXPECT_EQ(got, ScanKnn(elems, p, k)) << "k=" << k;
+      EXPECT_LE(c.structure_tests, lattice_keys)
+          << "(" << p.x << "," << p.y << "," << p.z << ") k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace simspatial::pam

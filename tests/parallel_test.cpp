@@ -87,6 +87,20 @@ MemGrid MakeGrid(const std::vector<Element>& elements, std::uint32_t threads,
   return g;
 }
 
+/// MakeGrid with zero layout slack: a gap-free block, which a fresh build
+/// streams as ONE contiguous run per shard.
+MemGrid MakeGapFreeGrid(const std::vector<Element>& elements,
+                        std::uint32_t threads, CellLayout layout,
+                        std::uint32_t shards = 1) {
+  MemGrid g(kUniverse, MemGridConfig{.cell_size = 4.0f,
+                                     .slack_fraction = 0,
+                                     .threads = threads,
+                                     .layout = layout,
+                                     .shards = shards});
+  g.Build(elements);
+  return g;
+}
+
 /// Ids in storage order: a full-universe range query streams the slack-CSR
 /// block in cell-region order, so equal outputs mean equal *layouts*, not
 /// just equal sets.
@@ -222,7 +236,7 @@ TEST(ParallelDeterminismTest, BuildLayoutIdenticalAcrossThreadCounts) {
       // Within a layout, the parallel build must reproduce the serial
       // build's layout BYTES (LayoutOrder streams the block in storage
       // order, so equal outputs mean equal layouts).
-      const MemGrid serial = MakeGrid(ds.elements, 0, 4.0f, layout);
+      const MemGrid serial = MakeGapFreeGrid(ds.elements, 0, layout);
       const std::vector<ElementId> want = LayoutOrder(serial);
       const MemGridShape want_shape = serial.Shape();
       EXPECT_EQ(want_shape.layout, layout) << ds.name;
@@ -238,7 +252,7 @@ TEST(ParallelDeterminismTest, BuildLayoutIdenticalAcrossThreadCounts) {
             << ": layouts must hold the same element set";
       }
       for (const std::uint32_t t : kThreadCounts) {
-        const MemGrid g = MakeGrid(ds.elements, t, 4.0f, layout);
+        const MemGrid g = MakeGapFreeGrid(ds.elements, t, layout);
         std::string err;
         ASSERT_TRUE(g.CheckInvariants(&err))
             << ds.name << " layout=" << ToString(layout) << " t=" << t
@@ -262,12 +276,12 @@ TEST(ParallelDeterminismTest, BuildLayoutIdenticalAcrossThreadCounts) {
 // Shape()/CheckInvariants layout observability: a fresh gap-free build is
 // ONE contiguous stream in pristine rank order; a forced region relocation
 // splits the stream (observable via layout_runs) without breaking any
-// structural invariant; the padded profile streams one run per occupied
-// cell because per-cell slack breaks storage adjacency.
+// structural invariant; a slacked build streams one run per occupied cell
+// because per-cell slack breaks storage adjacency.
 TEST(ParallelDeterminismTest, LayoutRunsAndPristineOrderObservable) {
   const auto elems = GenerateUniformBoxes(2048, kUniverse, 0.1f, 0.6f);
   for (const CellLayout layout : kLayouts) {
-    MemGrid g = MakeGrid(elems, 0, 4.0f, layout);
+    MemGrid g = MakeGapFreeGrid(elems, 0, layout);
     EXPECT_EQ(g.Shape().layout, layout);
     EXPECT_EQ(g.Shape().layout_runs, 1u) << ToString(layout);
     std::string err;
@@ -573,7 +587,10 @@ TEST(ShardDeterminismTest, BuildAndQueriesIdenticalAcrossShardCounts) {
           EXPECT_EQ(g.Shape().shards, shards);
           // A fresh gap-free multi-shard build streams as one run per
           // occupied shard (blocks are separate allocations).
-          EXPECT_LE(g.Shape().layout_runs, shards);
+          EXPECT_LE(MakeGapFreeGrid(ds.elements, t, layout, shards)
+                        .Shape()
+                        .layout_runs,
+                    shards);
           // Emission order of a full scan is the rank order — independent
           // of where shard boundaries fall.
           ASSERT_EQ(LayoutOrder(g), want)
