@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <ostream>
@@ -472,6 +474,140 @@ inline std::uint32_t BoxBatchContainsScalar(const BoxBatch& b,
   }
   return mask;
 }
+
+// --- Span pair kernel --------------------------------------------------------
+//
+// The grid join (join/grid_join.cc) tests one probe box against contiguous
+// spans of candidate boxes held as structure-of-arrays columns. PairKernel
+// does that kPairLanes lanes at a time. Per lane it runs the same IEEE
+// single-precision operations as the joins' scalar predicate
+// `PairMatches(first, second, eps)` (join/spatial_join.h), in the same
+// order:
+//   eps > 0:   per axis AxisGap(first.min - second.max,
+//              second.min - first.max), as selects that send a NaN where
+//              std::max sends it; then (dx*dx + dy*dy) + dz*dz <= eps*eps.
+//   otherwise: the ordered `<=` chain of AABB::Intersects.
+// AxisGap is not symmetric under NaN, so the caller says which side the
+// probe is on (kProbeFirst). As with BoxBatch, x86 builds use SSE
+// intrinsics and other targets a scalar lane loop; geometry_test pins the
+// kernel to PairMatches bit for bit.
+
+/// Lanes per PairKernel step.
+inline constexpr std::uint32_t kPairLanes = 4;
+
+/// Read-only structure-of-arrays box columns. A span kernel loads
+/// kPairLanes consecutive entries from any span start, so every column
+/// holds kPairLanes - 1 readable entries past the last box of a span.
+struct BoxColumns {
+  const float* min_x = nullptr;
+  const float* min_y = nullptr;
+  const float* min_z = nullptr;
+  const float* max_x = nullptr;
+  const float* max_y = nullptr;
+  const float* max_z = nullptr;
+
+  AABB Box(std::size_t i) const {
+    return AABB(Vec3(min_x[i], min_y[i], min_z[i]),
+                Vec3(max_x[i], max_y[i], max_z[i]));
+  }
+};
+
+/// `PairMatches(probe, column box, eps)` (kProbeFirst) or
+/// `PairMatches(column box, probe, eps)` over spans of BoxColumns.
+template <bool kProbeFirst>
+class PairKernel {
+ public:
+  PairKernel(const AABB& probe, float eps)
+      : distance_(eps > 0.0f), eps2_(eps * eps) {
+#if defined(__SSE2__)
+    for (int a = 0; a < 3; ++a) {
+      p_min_[a] = _mm_set1_ps(probe.min[a]);
+      p_max_[a] = _mm_set1_ps(probe.max[a]);
+    }
+#else
+    probe_ = probe;
+#endif
+  }
+
+  /// Bit l is set iff the predicate holds for column entry `at + l`.
+  /// Reads entries at..at + kPairLanes - 1 whatever the span's length.
+  std::uint32_t Match(const BoxColumns& c, std::size_t at) const {
+#if defined(__SSE2__)
+    const __m128 c_min[3] = {_mm_loadu_ps(c.min_x + at),
+                             _mm_loadu_ps(c.min_y + at),
+                             _mm_loadu_ps(c.min_z + at)};
+    const __m128 c_max[3] = {_mm_loadu_ps(c.max_x + at),
+                             _mm_loadu_ps(c.max_y + at),
+                             _mm_loadu_ps(c.max_z + at)};
+    const __m128* f_min = kProbeFirst ? p_min_ : c_min;
+    const __m128* f_max = kProbeFirst ? p_max_ : c_max;
+    const __m128* s_min = kProbeFirst ? c_min : p_min_;
+    const __m128* s_max = kProbeFirst ? c_max : p_max_;
+    __m128 hit;
+    if (distance_) {
+      __m128 gap[3];
+      for (int a = 0; a < 3; ++a) {
+        const __m128 below = _mm_sub_ps(f_min[a], s_max[a]);
+        const __m128 above = _mm_sub_ps(s_min[a], f_max[a]);
+        // below < 0 ? 0 : below, then clamped < above ? above : clamped.
+        const __m128 clamped =
+            _mm_andnot_ps(_mm_cmplt_ps(below, _mm_setzero_ps()), below);
+        const __m128 up = _mm_cmplt_ps(clamped, above);
+        gap[a] = _mm_or_ps(_mm_and_ps(up, above), _mm_andnot_ps(up, clamped));
+      }
+      const __m128 d2 = _mm_add_ps(
+          _mm_add_ps(_mm_mul_ps(gap[0], gap[0]), _mm_mul_ps(gap[1], gap[1])),
+          _mm_mul_ps(gap[2], gap[2]));
+      hit = _mm_cmple_ps(d2, _mm_set1_ps(eps2_));
+    } else {
+      // cmpleps is ordered `<=`: false on NaN, exactly the scalar operator.
+      hit = _mm_and_ps(_mm_cmple_ps(f_min[0], s_max[0]),
+                       _mm_cmple_ps(s_min[0], f_max[0]));
+      for (int a = 1; a < 3; ++a) {
+        hit = _mm_and_ps(hit, _mm_cmple_ps(f_min[a], s_max[a]));
+        hit = _mm_and_ps(hit, _mm_cmple_ps(s_min[a], f_max[a]));
+      }
+    }
+    return static_cast<std::uint32_t>(_mm_movemask_ps(hit));
+#else
+    std::uint32_t mask = 0;
+    for (std::uint32_t l = 0; l < kPairLanes; ++l) {
+      const AABB box = c.Box(at + l);
+      const AABB& first = kProbeFirst ? probe_ : box;
+      const AABB& second = kProbeFirst ? box : probe_;
+      const bool hit = distance_ ? first.SquaredDistanceTo(second) <= eps2_
+                                 : first.Intersects(second);
+      mask |= static_cast<std::uint32_t>(hit) << l;
+    }
+    return mask;
+#endif
+  }
+
+  /// Calls `hit(j)` for every j in [begin, end) that matches, ascending.
+  /// Lanes past `end` are loaded but masked off.
+  template <typename Hit>
+  void Scan(const BoxColumns& c, std::size_t begin, std::size_t end,
+            const Hit& hit) const {
+    for (std::size_t at = begin; at < end; at += kPairLanes) {
+      // A select, not a branch: the span tail is data-dependent.
+      const std::size_t lanes = std::min<std::size_t>(end - at, kPairLanes);
+      std::uint32_t mask = Match(c, at) & ((std::uint32_t{1} << lanes) - 1);
+      for (; mask != 0; mask &= mask - 1) {
+        hit(at + static_cast<std::size_t>(std::countr_zero(mask)));
+      }
+    }
+  }
+
+ private:
+  bool distance_;
+  float eps2_;
+#if defined(__SSE2__)
+  __m128 p_min_[3];
+  __m128 p_max_[3];
+#else
+  AABB probe_;
+#endif
+};
 
 /// Capsule (cylinder with hemispherical caps): segment [a,b] with radius r.
 ///

@@ -34,10 +34,11 @@ struct JoinShard {
 };
 
 /// Run `work(&shard, begin, end)` over [0, n) in contiguous deterministic
-/// chunks and merge the shards in chunk order: pairs appended to `out`,
-/// counters summed into `c`, skipped-test tallies into `skipped` (may be
-/// null). `threads` is the raw user knob (kThreadsAuto resolves to the
-/// hardware concurrency; 0 and 1 run serially on the calling thread).
+/// chunks and merge the shards in chunk order: pairs appended to `out`
+/// (grown once, to the summed shard sizes), counters summed into `c`,
+/// skipped-test tallies into `skipped` (may be null). `threads` is the raw
+/// user knob (kThreadsAuto resolves to the hardware concurrency; 0 and 1
+/// run serially on the calling thread).
 template <typename Work>
 void RunDeterministicChunks(std::size_t n, std::uint32_t threads,
                             std::vector<JoinPair>* out, QueryCounters* c,
@@ -49,6 +50,9 @@ void RunDeterministicChunks(std::size_t n, std::uint32_t threads,
                       [&](std::size_t w, std::size_t begin, std::size_t end) {
                         work(&shards[w], begin, end);
                       });
+  std::size_t total = out->size();
+  for (const JoinShard& s : shards) total += s.pairs.size();
+  out->reserve(total);
   for (JoinShard& s : shards) {
     out->insert(out->end(), s.pairs.begin(), s.pairs.end());
     *c += s.counters;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "join/spatial_join.h"
 
 namespace simspatial {
 namespace {
@@ -678,6 +679,149 @@ TEST(BoxBatchTest, StridedLoadReadsBoxesEmbeddedInRecords) {
     want |= static_cast<std::uint32_t>(records[i].box.Intersects(query)) << i;
   }
   EXPECT_EQ(BoxBatchIntersect(batch, query), want);
+}
+
+// --- Span pair kernel --------------------------------------------------------
+
+/// A coordinate for the span-kernel pool: ordinary values, +-0, +-inf,
+/// NaN, denormals and huge magnitudes.
+float SpanKernelCoord(Rng* rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  switch (rng->NextBelow(12)) {
+    case 0: return -0.0f;
+    case 1: return inf;
+    case 2: return -inf;
+    case 3: return std::numeric_limits<float>::quiet_NaN();
+    case 4: return (rng->NextFloat() - 0.5f) * 2e-39f;  // Denormal.
+    case 5: return (rng->NextFloat() - 0.5f) * 6.0f * 1e38f;
+    default: return rng->Uniform(-4.0f, 4.0f);
+  }
+}
+
+/// The batch kernel's pool (ordinary, zero-extent, inverted and empty
+/// boxes), plus boxes with the special coordinates above, boxes near the
+/// origin so that many pairs match, and an all-covering box.
+std::vector<AABB> SpanKernelBoxPool() {
+  std::vector<AABB> pool = BatchKernelBoxPool();
+  Rng rng(80);
+  for (int i = 0; i < 300; ++i) {
+    const Vec3 lo(SpanKernelCoord(&rng), SpanKernelCoord(&rng),
+                  SpanKernelCoord(&rng));
+    const Vec3 hi(SpanKernelCoord(&rng), SpanKernelCoord(&rng),
+                  SpanKernelCoord(&rng));
+    pool.emplace_back(lo, rng.NextBelow(4) == 0 ? lo : hi);
+  }
+  const AABB near(Vec3(-3, -3, -3), Vec3(3, 3, 3));
+  for (int i = 0; i < 300; ++i) {
+    pool.push_back(AABB::FromCenterHalfExtent(rng.PointIn(near),
+                                              rng.Uniform(0.0f, 1.0f)));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  pool.emplace_back(Vec3(-inf, -inf, -inf), Vec3(inf, inf, inf));
+  return pool;
+}
+
+/// `boxes` as padded structure-of-arrays columns.
+struct TestColumns {
+  std::array<std::vector<float>, 6> v;
+
+  explicit TestColumns(const std::vector<AABB>& boxes) {
+    for (const AABB& b : boxes) {
+      for (int a = 0; a < 3; ++a) {
+        v[a].push_back(b.min[a]);
+        v[3 + a].push_back(b.max[a]);
+      }
+    }
+  }
+  BoxColumns view() const {
+    return {v[0].data(), v[1].data(), v[2].data(),
+            v[3].data(), v[4].data(), v[5].data()};
+  }
+};
+
+/// Checks PairKernel<kProbeFirst> against scalar PairMatches over every
+/// lane of every load and every span of length 0..9 at every start.
+template <bool kProbeFirst>
+void ExpectPairKernelMatchesScalar(const std::vector<AABB>& boxes,
+                                   const std::vector<ElementId>& ids,
+                                   std::size_t n, const AABB& probe,
+                                   float eps) {
+  const auto scalar = [&](std::size_t j) {
+    return kProbeFirst ? join::PairMatches(probe, boxes[j], eps)
+                       : join::PairMatches(boxes[j], probe, eps);
+  };
+  const TestColumns columns(boxes);
+  const BoxColumns c = columns.view();
+  const PairKernel<kProbeFirst> kernel(probe, eps);
+  for (std::size_t at = 0; at + kPairLanes <= boxes.size(); ++at) {
+    const std::uint32_t mask = kernel.Match(c, at);
+    for (std::uint32_t l = 0; l < kPairLanes; ++l) {
+      ASSERT_EQ((mask >> l) & 1u, scalar(at + l) ? 1u : 0u)
+          << "probe " << probe << " box " << boxes[at + l] << " eps " << eps
+          << " probe_first " << kProbeFirst;
+    }
+  }
+  for (std::size_t begin = 0; begin < n; ++begin) {
+    for (std::size_t len = 0; len <= 9 && begin + len <= n; ++len) {
+      std::vector<ElementId> got;
+      kernel.Scan(c, begin, begin + len,
+                  [&](std::size_t j) { got.push_back(ids[j]); });
+      std::vector<ElementId> want;
+      for (std::size_t j = begin; j < begin + len; ++j) {
+        if (scalar(j)) want.push_back(ids[j]);
+      }
+      ASSERT_EQ(got, want) << "span [" << begin << ", " << begin + len
+                           << ") eps " << eps << " probe " << probe;
+    }
+  }
+}
+
+TEST(PairKernelTest, MatchesPairMatchesBitForBit) {
+  const std::vector<AABB> pool = SpanKernelBoxPool();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // 1e-20 squares to a denormal; NaN and negative eps mean intersection.
+  const float epsilons[] = {0.0f, -1.0f, 1e-20f, 0.5f, 4.0f, inf, nan};
+  Rng rng(81);
+  constexpr std::size_t kSpan = 16;
+  for (int trial = 0; trial < 150; ++trial) {
+    std::vector<AABB> boxes;
+    std::vector<ElementId> ids;
+    for (std::size_t j = 0; j < kSpan; ++j) {
+      boxes.push_back(pool[rng.NextBelow(pool.size())]);
+      ids.push_back(
+          static_cast<ElementId>(0x80000000u + rng.NextBelow(1u << 30)));
+    }
+    // The padding the kernel may read past the last span: all-covering
+    // boxes, which match nearly every probe unless masked off.
+    boxes.resize(kSpan + kPairLanes - 1, pool.back());
+    const AABB probe = pool[rng.NextBelow(pool.size())];
+    for (const float eps : epsilons) {
+      ExpectPairKernelMatchesScalar<true>(boxes, ids, kSpan, probe, eps);
+      ExpectPairKernelMatchesScalar<false>(boxes, ids, kSpan, probe, eps);
+    }
+  }
+}
+
+TEST(PairKernelTest, SumsAxesInPairMatchesOrder) {
+  // Squared gaps 1, 2^-24, 2^-24: adding 1 first, each 2^-24 rounds away
+  // and the sum is 1 <= eps^2 = 1; adding 1 last gives 1 + 2^-23. So the
+  // x, y, z order of PairMatches decides which boxes are within eps = 1.
+  const float g = 0x1p-12f;
+  const std::vector<AABB> boxes = {
+      AABB::FromPoint(Vec3(1, g, g)), AABB::FromPoint(Vec3(g, 1, g)),
+      AABB::FromPoint(Vec3(g, g, 1)), AABB::FromPoint(Vec3(-1, -g, g)),
+      AABB::FromPoint(Vec3(0, 0, 0)), AABB::FromPoint(Vec3(0, 0, 0)),
+      AABB::FromPoint(Vec3(0, 0, 0))};
+  const AABB probe = AABB::FromPoint(Vec3(0, 0, 0));
+  std::vector<ElementId> ids(boxes.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    ids[j] = static_cast<ElementId>(j);
+  }
+  EXPECT_TRUE(join::PairMatches(probe, boxes[0], 1.0f));
+  EXPECT_FALSE(join::PairMatches(probe, boxes[2], 1.0f));
+  ExpectPairKernelMatchesScalar<true>(boxes, ids, 4, probe, 1.0f);
+  ExpectPairKernelMatchesScalar<false>(boxes, ids, 4, probe, 1.0f);
 }
 
 }  // namespace

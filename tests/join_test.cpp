@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 
 #include "common/bruteforce.h"
 #include "common/rng.h"
@@ -365,6 +369,323 @@ TEST(JoinPropertyTest, SmallCellShortcutOffWhenCellsClamp) {
   SortPairs(&got);
   EXPECT_EQ(stats.skipped_tests, 0u);
   EXPECT_EQ(got, Reference(elems, 0.0f));
+}
+
+// --- Candidate oracle -------------------------------------------------------
+//
+// The grid join's candidates follow from its cell rule alone. The oracle
+// restates that rule (grid_join.cc: CellCoord and KeyLayout) and walks the
+// occupied cells by brute force: same-cell pairs, then the 13 forward
+// neighbour cells (self-join) or all 27 (binary join). Both drivers must
+// report exactly its counters and its pairs, whatever loops they run.
+
+/// Cell coordinates of the grid join: floor(centre / cell) per axis,
+/// clamped into the span the packed key covers (NaN to its low border).
+class OracleCellRule {
+ public:
+  OracleCellRule(float cell,
+                 const std::vector<const std::vector<Element>*>& sets,
+                 std::size_t max_elements)
+      : inv_(1.0f / cell) {
+    const float inf = std::numeric_limits<float>::infinity();
+    std::array<float, 3> clo{inf, inf, inf};
+    std::array<float, 3> chi{-inf, -inf, -inf};
+    for (const auto* set : sets) {
+      for (const Element& e : *set) {
+        const Vec3 c = e.Center();
+        for (int a = 0; a < 3; ++a) {
+          if (c[a] < clo[a]) clo[a] = c[a];
+          if (chi[a] < c[a]) chi[a] = c[a];
+        }
+      }
+    }
+    const int index_bits =
+        std::bit_width(std::max<std::size_t>(max_elements, 1) - 1);
+    std::array<int, 3> need{};
+    for (int a = 0; a < 3; ++a) {
+      bool ignored = false;
+      lo_[a] = Coord(clo[a], &ignored);
+      hi_[a] = std::max(lo_[a], Coord(chi[a], &ignored));
+      need[a] = std::bit_width(static_cast<std::uint64_t>(hi_[a]) -
+                               static_cast<std::uint64_t>(lo_[a]) + 2);
+    }
+    std::array<int, 3> order{0, 1, 2};
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int p, int q) { return need[p] < need[q]; });
+    int left = 64 - index_bits;
+    for (int k = 0; k < 3; ++k) {
+      const int a = order[k];
+      const int bits = std::min(need[a], left / (3 - k));
+      left -= bits;
+      if (bits < need[a]) {
+        hi_[a] = lo_[a] + static_cast<std::int64_t>(
+                              (std::uint64_t{1} << bits) - 3);
+      }
+    }
+  }
+
+  std::array<std::int64_t, 3> Cell(const Vec3& p, bool* clamped) const {
+    std::array<std::int64_t, 3> cell{};
+    for (int a = 0; a < 3; ++a) {
+      cell[a] = Coord(p[a], clamped);
+      if (cell[a] < lo_[a] || cell[a] > hi_[a]) {
+        cell[a] = std::clamp(cell[a], lo_[a], hi_[a]);
+        *clamped = true;
+      }
+    }
+    return cell;
+  }
+
+ private:
+  std::int64_t Coord(float v, bool* clamped) const {
+    constexpr std::int64_t kMax = std::int64_t{1} << 62;
+    const float f = std::floor(v * inv_);
+    if (f >= -0x1p62f && f <= 0x1p62f) return static_cast<std::int64_t>(f);
+    *clamped = true;
+    return f > 0.0f ? kMax : -kMax;
+  }
+
+  float inv_;
+  std::array<std::int64_t, 3> lo_{};
+  std::array<std::int64_t, 3> hi_{};
+};
+
+using OracleCell = std::array<std::int64_t, 3>;
+/// Occupied cells in (x, y, z) order, each with its elements in input order.
+using OracleGrid = std::map<OracleCell, std::vector<const Element*>>;
+
+OracleGrid OracleCells(const std::vector<Element>& elems,
+                       const OracleCellRule& rule, bool* clamped) {
+  OracleGrid grid;
+  for (const Element& e : elems) {
+    grid[rule.Cell(e.Center(), clamped)].push_back(&e);
+  }
+  return grid;
+}
+
+OracleCell Neighbour(const OracleCell& c, int dx, int dy, int dz) {
+  return {c[0] + dx, c[1] + dy, c[2] + dz};
+}
+
+struct OracleResult {
+  std::vector<JoinPair> pairs;  ///< Sorted.
+  QueryCounters counters;
+  std::uint64_t skipped = 0;
+};
+
+OracleResult SelfJoinOracle(const std::vector<Element>& elems, float eps,
+                            float cell, bool shortcut_enabled) {
+  const OracleCellRule rule(cell, {&elems}, elems.size());
+  bool clamped = false;
+  const OracleGrid grid = OracleCells(elems, rule, &clamped);
+  float min_extent = std::numeric_limits<float>::max();
+  for (const Element& e : elems) {
+    const Vec3 ext = e.box.Extent();
+    for (int a = 0; a < 3; ++a) {
+      if (ext[a] < min_extent) min_extent = ext[a];
+    }
+  }
+  const bool shortcut = shortcut_enabled && eps == 0.0f && !clamped &&
+                        min_extent >= 2.0f * cell * std::sqrt(3.0f);
+  OracleResult r;
+  const auto test = [&](const Element* a, const Element* b) {
+    r.counters.element_tests += 1;
+    if (PairMatches(a->box, b->box, eps)) {
+      r.pairs.emplace_back(std::min(a->id, b->id), std::max(a->id, b->id));
+    }
+  };
+  for (const auto& [key, members] : grid) {
+    r.counters.nodes_visited += 1;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      for (std::size_t j = i + 1; j < members.size(); ++j) {
+        if (shortcut) {
+          r.skipped += 1;
+          r.pairs.emplace_back(std::min(members[i]->id, members[j]->id),
+                               std::max(members[i]->id, members[j]->id));
+        } else {
+          test(members[i], members[j]);
+        }
+      }
+    }
+    for (int dx = 0; dx <= 1; ++dx) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dz = -1; dz <= 1; ++dz) {
+          // Lexicographically positive offsets only.
+          if (dx == 0 && (dy < 0 || (dy == 0 && dz <= 0))) continue;
+          const auto it = grid.find(Neighbour(key, dx, dy, dz));
+          if (it == grid.end()) continue;
+          r.counters.structure_tests += 1;
+          for (const Element* a : members) {
+            for (const Element* b : it->second) test(a, b);
+          }
+        }
+      }
+    }
+  }
+  r.counters.results = r.pairs.size();
+  SortPairs(&r.pairs);
+  return r;
+}
+
+OracleResult JoinOracle(const std::vector<Element>& a,
+                        const std::vector<Element>& b, float eps,
+                        float cell) {
+  const OracleCellRule rule(cell, {&a, &b}, std::max(a.size(), b.size()));
+  bool clamped = false;
+  const OracleGrid ga = OracleCells(a, rule, &clamped);
+  const OracleGrid gb = OracleCells(b, rule, &clamped);
+  OracleResult r;
+  for (const auto& [key, members] : gb) {
+    r.counters.nodes_visited += 1;
+    for (int dx = -1; dx <= 1; ++dx) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dz = -1; dz <= 1; ++dz) {
+          const auto it = ga.find(Neighbour(key, dx, dy, dz));
+          if (it == ga.end()) continue;
+          r.counters.structure_tests += 1;
+          for (const Element* eb : members) {
+            for (const Element* ea : it->second) {
+              r.counters.element_tests += 1;
+              if (PairMatches(ea->box, eb->box, eps)) {
+                r.pairs.emplace_back(ea->id, eb->id);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  r.counters.results = r.pairs.size();
+  SortPairs(&r.pairs);
+  return r;
+}
+
+std::vector<Element> WithIdsFrom(const std::vector<Element>& elems,
+                                 ElementId first) {
+  std::vector<Element> out;
+  for (const Element& e : elems) out.emplace_back(first + e.id, e.box);
+  return out;
+}
+
+/// ExtremeDataset plus a box spanning every float. Its infinite extent
+/// puts every centre in one cell, and its pairs with the infinite points
+/// hit inf - inf = NaN on one side of AxisGap only, where PairMatches'
+/// orientation decides the result.
+std::vector<Element> UnboundedDataset(ElementId first_id) {
+  std::vector<Element> elems = ExtremeDataset(first_id);
+  const float inf = std::numeric_limits<float>::infinity();
+  elems.emplace_back(static_cast<ElementId>(first_id + elems.size()),
+                     AABB(Vec3(-inf, -inf, -inf), Vec3(inf, inf, inf)));
+  return elems;
+}
+
+/// Fat boxes on cells far below their size: the small-cell shortcut fires
+/// (the join is then incomplete by design, so only the oracle applies).
+std::vector<Element> ShortcutDataset() {
+  std::vector<Element> elems;
+  Rng rng(77);
+  const AABB tight(Vec3(0, 0, 0), Vec3(10, 10, 10));
+  for (ElementId i = 0; i < 300; ++i) {
+    elems.emplace_back(i, AABB::FromCenterHalfExtent(rng.PointIn(tight), 3.0f));
+  }
+  return elems;
+}
+
+TEST(GridJoinOracleTest, SelfJoinCountersAndPairsMatchCellOracle) {
+  struct Case {
+    const char* name;
+    std::vector<Element> elems;
+    float cell_size;  // 0: the default.
+    bool complete;    // Pairs must also equal the nested loop.
+  };
+  const std::vector<Case> cases = {
+      {"uniform", GenerateUniformBoxes(1500, kUniverse, 0.2f, 0.8f), 0, true},
+      {"clustered",
+       GenerateClusteredBoxes(1500, kUniverse, 6, 3.0f, 0.2f, 0.6f), 0, true},
+      {"clamped_span", ExtremeDataset(0), 0, true},
+      {"unbounded", UnboundedDataset(0), 0, true},
+      {"ids_from_2^31",
+       WithIdsFrom(GenerateClusteredBoxes(1200, kUniverse, 5, 3.0f, 0.2f,
+                                          0.7f),
+                   0x80000000u),
+       0, true},
+      {"coarse_cells", GenerateUniformBoxes(1200, kUniverse, 0.2f, 0.8f),
+       5.0f, true},
+      {"shortcut", ShortcutDataset(), 0.5f, false},
+  };
+  for (const Case& c : cases) {
+    for (const float eps : {0.0f, 0.5f}) {
+      for (const std::uint32_t threads : {1u, 2u}) {
+        GridJoinOptions opts;
+        opts.cell_size = c.cell_size;
+        opts.threads = threads;
+        QueryCounters counters;
+        GridJoinStats stats;
+        auto got = GridSelfJoin(c.elems, eps, opts, &counters, &stats);
+        SortPairs(&got);
+        const OracleResult want =
+            SelfJoinOracle(c.elems, eps, stats.cell_size, true);
+        const std::string what = std::string(c.name) + " eps=" +
+                                 std::to_string(eps) +
+                                 " threads=" + std::to_string(threads);
+        EXPECT_EQ(counters, want.counters) << what;
+        EXPECT_EQ(stats.skipped_tests, want.skipped) << what;
+        EXPECT_EQ(got, want.pairs) << what;
+        if (c.complete) EXPECT_EQ(got, Reference(c.elems, eps)) << what;
+      }
+    }
+  }
+  // The shortcut case must really take the shortcut.
+  EXPECT_GT(SelfJoinOracle(ShortcutDataset(), 0.0f, 0.5f, true).skipped, 0u);
+}
+
+TEST(GridJoinOracleTest, BinaryJoinCountersAndPairsMatchCellOracle) {
+  struct Case {
+    const char* name;
+    std::vector<Element> a;
+    std::vector<Element> b;
+    float cell_size;
+  };
+  const std::vector<Case> cases = {
+      {"uniform_x_clustered",
+       GenerateUniformBoxes(1200, kUniverse, 0.2f, 0.8f),
+       GenerateClusteredBoxes(900, kUniverse, 5, 3.0f, 0.2f, 0.7f), 0},
+      {"clamped_span", ExtremeDataset(0), ExtremeDataset(10000), 0},
+      {"unbounded_a", UnboundedDataset(0), ExtremeDataset(10000), 0},
+      {"unbounded_b", ExtremeDataset(0), UnboundedDataset(10000), 0},
+      {"ids_from_2^31",
+       WithIdsFrom(GenerateUniformBoxes(1000, kUniverse, 0.2f, 0.8f, 3),
+                   0x80000000u),
+       WithIdsFrom(GenerateClusteredBoxes(800, kUniverse, 4, 3.0f, 0.2f, 0.6f),
+                   0xF0000000u),
+       0},
+      {"one_element_side", ExtremeDataset(0),
+       {Element(7, AABB(Vec3(0, 0, 0), Vec3(1, 1, 1)))}, 0},
+      {"coarse_cells", GenerateUniformBoxes(900, kUniverse, 0.2f, 0.8f, 4),
+       GenerateUniformBoxes(700, kUniverse, 0.2f, 0.8f, 5), 5.0f},
+  };
+  for (const Case& c : cases) {
+    for (const float eps : {0.0f, 0.5f}) {
+      for (const std::uint32_t threads : {1u, 2u}) {
+        GridJoinOptions opts;
+        opts.cell_size = c.cell_size;
+        opts.threads = threads;
+        QueryCounters counters;
+        GridJoinStats stats;
+        auto got = GridJoin(c.a, c.b, eps, opts, &counters, &stats);
+        SortPairs(&got);
+        const OracleResult want = JoinOracle(c.a, c.b, eps, stats.cell_size);
+        const std::string what = std::string(c.name) + " eps=" +
+                                 std::to_string(eps) +
+                                 " threads=" + std::to_string(threads);
+        EXPECT_EQ(counters, want.counters) << what;
+        EXPECT_EQ(got, want.pairs) << what;
+        auto nested = NestedLoopJoin(c.a, c.b, eps);
+        SortPairs(&nested);
+        EXPECT_EQ(got, nested) << what;
+      }
+    }
+  }
 }
 
 }  // namespace
